@@ -1,5 +1,7 @@
 #include "datapath.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 #include "trace/tracer.hh"
 
@@ -20,10 +22,12 @@ Datapath::Datapath(std::string name, EventQueue &eq, ClockDomain domain,
       statBankConflicts(stats().add("bankConflicts",
                                     "scratchpad bank conflict retries")),
       statCacheRejects(stats().add("cacheRejects",
-                                   "cache port/MSHR rejections"))
+                                   "cache port/MSHR rejections")),
+      statIssueAttempts(stats().add(
+          "issueAttempts", "ready entries examined by the issue logic"))
 {
-    if (params.lanes == 0)
-        fatal("datapath needs at least one lane");
+    if (params.lanes == 0 || params.lanes > 65536)
+        fatal("datapath needs 1..65536 lanes, got %u", params.lanes);
     eq.registerStats(stats());
     for (unsigned l = 0; l < params.lanes; ++l)
         laneTracks.push_back(format("%s.lane%u", this->name().c_str(), l));
@@ -68,7 +72,7 @@ Datapath::attachCache(Cache *cache_, AladdinTlb *tlb_,
             if (!hit) {
                 // The miss kept its lane stalled until now; hits were
                 // uncounted at accept time.
-                LaneState &lane = lanes[laneOf(n)];
+                LaneState &lane = lanes[issue[n].lane];
                 GENIE_ASSERT(lane.pendingMem > 0,
                              "miss completion with no pending access");
                 --lane.pendingMem;
@@ -94,21 +98,75 @@ Datapath::start(DoneCallback done)
     startCycle = curCycle();
     lastTickAt = maxTick;
 
-    pendingParents.assign(n, 0);
-    for (NodeId i = 0; i < n; ++i)
-        pendingParents[i] = dddg.parents(i);
-
     numWaves = (trace.numIterations + params.lanes - 1) / params.lanes;
     if (numWaves == 0)
         numWaves = 1;
     waveRemaining.assign(numWaves, 0);
     earlyReady.assign(numWaves, {});
-    for (NodeId i = 0; i < n; ++i)
-        ++waveRemaining[waveOf(i)];
+
+    issue.assign(n, NodeIssue{});
+    classLatency.fill(0);
+    constexpr int unmapped = -2;
+    readyBitsOf.assign(spad ? spad->numArrays() : 0, unmapped);
+    pendingParents.resize(n);
+    for (NodeId i = 0; i < n; ++i) {
+        const TraceOp &op = trace.ops[i];
+        NodeIssue &r = issue[i];
+        r.wave = op.iteration / params.lanes;
+        r.lane = static_cast<std::uint16_t>(op.iteration % params.lanes);
+        ++waveRemaining[r.wave];
+        pendingParents[i] = dddg.parents(i);
+        if (!isMemoryOp(op.op)) {
+            static_assert(unsigned(IssueClass::Other) ==
+                          unsigned(FuKind::Other));
+            r.cls = static_cast<IssueClass>(fuKindOf(op.op));
+            std::uint8_t &lat =
+                classLatency[static_cast<unsigned>(r.cls)];
+            GENIE_ASSERT(lat == 0 || lat == latencyOf(op.op),
+                         "%s latency differs from its FU class",
+                         opcodeName(op.op));
+            lat = static_cast<std::uint8_t>(latencyOf(op.op));
+            continue;
+        }
+        r.isStore = op.op == Opcode::Store;
+        if (params.perfectMemory) {
+            r.cls = IssueClass::Perfect;
+            continue;
+        }
+        GENIE_ASSERT(op.offset <= 0xffffffffu,
+                     "array offset beyond 4 GiB");
+        r.offset = static_cast<std::uint32_t>(op.offset);
+        // In cache mode, arrays wired to the scratchpad (private
+        // intermediates and register-promoted small constant tables)
+        // bypass the cache.
+        auto arr = static_cast<std::size_t>(op.arrayId);
+        bool isScratchArray =
+            mode == MemMode::ScratchpadDma ||
+            (arr < spadIds.size() && spadIds[arr] >= 0);
+        if (!isScratchArray) {
+            r.cls = IssueClass::Cache;
+            r.array = op.arrayId;
+            continue;
+        }
+        GENIE_ASSERT(spad && arr < spadIds.size() && spadIds[arr] >= 0,
+                     "array '%s' not mapped to a scratchpad",
+                     trace.arrays[arr].name.c_str());
+        const int spadArray = spadIds[arr];
+        GENIE_ASSERT(spadArray <= 0x7fff, "scratchpad array id too big");
+        r.cls = IssueClass::Spad;
+        r.array = static_cast<std::int16_t>(spadArray);
+        unsigned bank = spad->bankOf(spadArray, op.offset);
+        GENIE_ASSERT(bank <= 0xffffu, "scratchpad bank beyond 65535");
+        r.bank = static_cast<std::uint16_t>(bank);
+        int fe = feBits && arr < feIds.size() ? feIds[arr] : -1;
+        int &mapped = readyBitsOf[static_cast<std::size_t>(spadArray)];
+        GENIE_ASSERT(mapped == unmapped || mapped == fe,
+                     "scratchpad array %d has two ready-bit mappings",
+                     spadArray);
+        mapped = fe;
+    }
 
     lanes.assign(params.lanes, LaneState{});
-    issued.assign(params.lanes, IssueCounters{});
-    cycleStamp = curCycle();
 
     for (NodeId i = 0; i < n; ++i) {
         if (pendingParents[i] == 0)
@@ -120,13 +178,63 @@ Datapath::start(DoneCallback done)
 void
 Datapath::enqueueReady(NodeId n)
 {
-    std::uint32_t w = waveOf(n);
+    std::uint32_t w = issue[n].wave;
     if (w == currentWave) {
-        lanes[laneOf(n)].ready.push_back(n);
+        pushReady(n);
         scheduleTick();
     } else {
         GENIE_ASSERT(w > currentWave, "ready node in a finished wave");
         earlyReady[w].push_back(n);
+    }
+}
+
+void
+Datapath::pushReady(NodeId n)
+{
+    const NodeIssue &rec = issue[n];
+    LaneState &lane = lanes[rec.lane];
+    auto seq = static_cast<std::uint32_t>(lane.order.size());
+    lane.order.push_back(n);
+
+    ClassQueue &q = lane.queues[static_cast<unsigned>(rec.cls)];
+    if (q.empty()) {
+        q.items.clear();
+        q.head = 0;
+    } else if (q.head >= issueWindow && 2 * q.head >= q.items.size()) {
+        q.items.erase(q.items.begin(),
+                      q.items.begin() + static_cast<std::ptrdiff_t>(q.head));
+        q.head = 0;
+    }
+    q.items.push_back({n, seq});
+
+    // Ready bits only ever go empty -> full during a run, so a bit
+    // that is full now never needs checking again.
+    if (int fe = readyBitsOfLoad(rec);
+        fe >= 0 && !feBits->isFull(fe, rec.offset)) {
+        if (lane.uncheckedHead == lane.unchecked.size()) {
+            lane.unchecked.clear();
+            lane.uncheckedHead = 0;
+        }
+        lane.unchecked.push_back({n, seq});
+    }
+    if (++lane.live <= issueWindow)
+        lane.windowEnd = seq;
+}
+
+void
+Datapath::retireReady(LaneState &lane, std::uint32_t seq)
+{
+    lane.order[seq] = invalidNode;
+    // The oldest ready entry past the window slides in.
+    if (lane.live > issueWindow && seq <= lane.windowEnd) {
+        std::uint32_t s = lane.windowEnd + 1;
+        while (lane.order[s] == invalidNode)
+            ++s;
+        lane.windowEnd = s;
+    }
+    if (--lane.live == 0) {
+        lane.order.clear();
+        lane.windowEnd = 0;
     }
 }
 
@@ -150,51 +258,29 @@ Datapath::scheduleTick()
 }
 
 void
-Datapath::resetCycleCounters()
-{
-    Cycles now = curCycle();
-    if (now != cycleStamp) {
-        cycleStamp = now;
-        std::fill(issued.begin(), issued.end(), IssueCounters{});
-    }
-}
-
-void
 Datapath::tick()
 {
     if (!active)
         return;
     lastTickAt = eventq.curTick();
-    resetCycleCounters();
+    issueEdge = clockEdge(0);
+    const Cycles now = curCycle();
 
     bool anyReadyLeft = false;
+    std::uint64_t attempts = 0;
     for (unsigned l = 0; l < params.lanes; ++l) {
         LaneState &lane = lanes[l];
+        if (lane.live == 0)
+            continue;
         if (lane.blocked()) {
-            if (!lane.ready.empty())
-                ++statMemStallCycles;
+            ++statMemStallCycles;
             continue;
         }
-        // Dataflow issue with a bounded scheduling window: hazarded
-        // ops are skipped so younger independent ops may still go.
-        unsigned scanned = 0;
-        for (auto it = lane.ready.begin();
-             it != lane.ready.end() && scanned < issueScanWindow;) {
-            ++scanned;
-            IssueResult res = tryIssue(*it, l);
-            if (res == IssueResult::Issued) {
-                it = lane.ready.erase(it);
-                if (lane.blocked())
-                    break;
-            } else if (res == IssueResult::Skip) {
-                ++it;
-            } else {
-                break; // lane-stalling condition
-            }
-        }
-        if (!lane.ready.empty() && !lane.blocked())
+        attempts += issueLane(l, now);
+        if (lane.live > 0 && !lane.blocked())
             anyReadyLeft = true;
     }
+    statIssueAttempts += static_cast<double>(attempts);
 
     // Structural hazards resolve by aging one cycle; memory blocks
     // resolve via callbacks which re-schedule the tick. scheduleTick
@@ -204,85 +290,197 @@ Datapath::tick()
         scheduleTick();
 }
 
-Datapath::IssueResult
-Datapath::tryIssue(NodeId n, unsigned lane)
+unsigned
+Datapath::issueLane(unsigned l, Cycles now)
 {
-    const TraceOp &op = trace.ops[n];
-    if (!isMemoryOp(op.op))
-        return tryIssueCompute(n, lane, op);
+    // Oldest-first dataflow issue over the lane's window: hazarded
+    // ops are skipped so younger independent ops may still go. Each
+    // class queue is already in age order, so merging the heads of
+    // the classes that still have budget visits exactly the entries
+    // a front-to-back scan of the window would act on; entries of a
+    // class whose budget is spent would only be skipped, so they are
+    // never visited.
+    constexpr auto spadClass = static_cast<unsigned>(IssueClass::Spad);
+    constexpr unsigned memBits = 1u << spadClass |
+                                 1u << unsigned(IssueClass::Cache) |
+                                 1u << unsigned(IssueClass::Perfect);
 
-    if (params.perfectMemory) {
-        if (issued[lane].mem >= params.memOpsPerLane)
-            return IssueResult::Skip;
-        ++issued[lane].mem;
-        ++inFlightOps;
-        Tick now = clockEdge(0);
-        busy.add(now, now + clockPeriod());
-        traceNodeSpan(lane, "mem", now, now + clockPeriod());
-        scheduleCompletion(1, n);
-        return IssueResult::Issued;
+    LaneState &lane = lanes[l];
+    const std::uint32_t cutoff = lane.windowEnd;
+    std::array<unsigned, numIssueClasses> left = {
+        params.intAluPerLane,
+        params.intMulPerLane,
+        params.fpAddPerLane,
+        params.fpMulPerLane,
+        lane.divBusyUntil > now ? 0u : 1u, // the divider is unpipelined
+        params.otherPerLane,
+    };
+    unsigned memLeft = params.memOpsPerLane;
+
+    // Per class: the cursor into the class queue and its seq. A class
+    // leaves `open` when its budget is spent or its cursor passes the
+    // window.
+    std::array<std::size_t, numIssueClasses> cur;
+    std::array<std::uint32_t, numIssueClasses> curSeq;
+    unsigned open = 0;
+    auto moveCursor = [&](unsigned c, std::size_t to) {
+        const std::vector<ReadyEntry> &items = lane.queues[c].items;
+        cur[c] = to;
+        if (to == items.size() || (curSeq[c] = items[to].seq) > cutoff)
+            open &= ~(1u << c);
+    };
+    for (unsigned c = 0; c < numIssueClasses; ++c) {
+        bool budget = (memBits >> c & 1) ? memLeft > 0 : left[c] > 0;
+        if (budget)
+            open |= 1u << c;
+        moveCursor(c, lane.queues[c].head);
     }
 
-    // In cache mode, arrays wired to the scratchpad (private
-    // intermediates and register-promoted small constant tables)
-    // bypass the cache.
-    bool isScratchArray =
-        mode == MemMode::ScratchpadDma ||
-        (static_cast<std::size_t>(op.arrayId) < spadIds.size() &&
-         spadIds[static_cast<std::size_t>(op.arrayId)] >= 0);
-    if (isScratchArray)
-        return tryIssueSpadAccess(n, lane, op);
-    return tryIssueCacheAccess(n, lane, op);
+    // Scratchpad accesses issued behind a bank conflict leave holes
+    // in the visited part of the queue; the survivors slide up to the
+    // cursor on the way out.
+    bool spadHoles = false;
+    unsigned examined = 0;
+    auto settle = [&] {
+        if (spadHoles) {
+            ClassQueue &q = lane.queues[spadClass];
+            std::size_t to = cur[spadClass];
+            for (std::size_t from = to; from-- > q.head;) {
+                if (q.items[from].node != invalidNode)
+                    q.items[--to] = q.items[from];
+            }
+            q.head = to;
+        }
+        return examined;
+    };
+
+    for (;;) {
+        // The next entry is the oldest head among the open classes.
+        unsigned c = numIssueClasses;
+        std::uint32_t oldest = ~0u;
+        for (unsigned m = open; m != 0; m &= m - 1) {
+            auto k = static_cast<unsigned>(std::countr_zero(m));
+            if (curSeq[k] < oldest) {
+                oldest = curSeq[k];
+                c = k;
+            }
+        }
+        // With the memory budget spent, a load whose ready bit is
+        // still unchecked can nonetheless stop the lane.
+        if (memLeft == 0 && lane.uncheckedHead < lane.unchecked.size()) {
+            const ReadyEntry u = lane.unchecked[lane.uncheckedHead];
+            if (u.seq <= cutoff && u.seq < oldest) {
+                ++examined;
+                if (!readyBitSet(u.node, l))
+                    return settle();
+                continue;
+            }
+        }
+        if (c == numIssueClasses)
+            break;
+
+        ClassQueue &q = lane.queues[c];
+        const std::size_t at = cur[c];
+        const ReadyEntry e = q.items[at];
+        const NodeIssue &rec = issue[e.node];
+        ++examined;
+        if (lane.isUnchecked(e.node) && !readyBitSet(e.node, l))
+            return settle();
+
+        switch (rec.cls) {
+          case IssueClass::Spad:
+            if (!spad->tryAccessBank(rec.array, rec.bank, rec.isStore)) {
+                // A bank conflict: retried next cycle, and counted
+                // every cycle it recurs.
+                ++statBankConflicts;
+                moveCursor(c, at + 1);
+                continue;
+            }
+            issueMemCycle(e.node, l);
+            break;
+          case IssueClass::Perfect:
+            issueMemCycle(e.node, l);
+            break;
+          case IssueClass::Cache:
+            if (!cache->portAvailable()) {
+                // Ports only get busier within a cycle.
+                open &= ~(1u << c);
+                continue;
+            }
+            issueCacheAccess(e.node, l);
+            break;
+          default:
+            issueCompute(e.node, l, now);
+            break;
+        }
+
+        if (at == q.head) {
+            ++q.head;
+        } else {
+            q.items[at].node = invalidNode;
+            spadHoles = true;
+        }
+        moveCursor(c, at + 1);
+        retireReady(lane, e.seq);
+        if (memBits >> c & 1) {
+            if (--memLeft == 0)
+                open &= ~memBits;
+        } else if (--left[c] == 0) {
+            open &= ~(1u << c);
+        }
+        // A cache miss (or a TLB walk) stalls the issuing lane.
+        if (lane.blocked())
+            break;
+    }
+    return settle();
 }
 
-Datapath::IssueResult
-Datapath::tryIssueCompute(NodeId n, unsigned lane, const TraceOp &op)
+bool
+Datapath::readyBitSet(NodeId n, unsigned l)
 {
-    IssueCounters &c = issued[lane];
-    FuKind kind = fuKindOf(op.op);
-    switch (kind) {
-      case FuKind::IntAlu:
-        if (c.intAlu >= params.intAluPerLane)
-            return IssueResult::Skip;
-        ++c.intAlu;
-        break;
-      case FuKind::IntMul:
-        if (c.intMul >= params.intMulPerLane)
-            return IssueResult::Skip;
-        ++c.intMul;
-        break;
-      case FuKind::FpAdd:
-        if (c.fpAdd >= params.fpAddPerLane)
-            return IssueResult::Skip;
-        ++c.fpAdd;
-        break;
-      case FuKind::FpMul:
-        if (c.fpMul >= params.fpMulPerLane)
-            return IssueResult::Skip;
-        ++c.fpMul;
-        break;
-      case FuKind::FpDiv:
-        // The divider is unpipelined.
-        if (lanes[lane].divBusyUntil > curCycle())
-            return IssueResult::Skip;
-        lanes[lane].divBusyUntil =
-            curCycle() + latencyOf(Opcode::FpDiv);
-        break;
-      case FuKind::Other:
-        if (c.other >= params.otherPerLane)
-            return IssueResult::Skip;
-        ++c.other;
-        break;
+    // DMA-triggered compute: a load must find its line's ready bit
+    // set, or the lane stalls until the DMA engine fills it (Section
+    // IV-B2: the control logic stalls the whole lane).
+    const NodeIssue &rec = issue[n];
+    LaneState &lane = lanes[l];
+    const int fe = readyBitsOfLoad(rec);
+    if (!feBits->isFull(fe, rec.offset)) {
+        ++statReadyBitStalls;
+        lane.blockedOnReadyBit = true;
+        feBits->wait(fe, rec.offset, [this, l] {
+            lanes[l].blockedOnReadyBit = false;
+            scheduleTick();
+        });
+        return false;
     }
+    GENIE_ASSERT(lane.isUnchecked(n), "ready-bit check out of age order");
+    ++lane.uncheckedHead;
+    return true;
+}
 
-    ++fuOps[static_cast<std::size_t>(kind)];
+void
+Datapath::issueCompute(NodeId n, unsigned lane, Cycles now)
+{
+    const NodeIssue &rec = issue[n];
+    if (rec.cls == IssueClass::FpDiv)
+        lanes[lane].divBusyUntil = now + latencyOf(Opcode::FpDiv);
+    ++fuOps[static_cast<std::size_t>(rec.cls)];
     ++inFlightOps;
-    Cycles lat = latencyOf(op.op);
-    Tick now = clockEdge(0);
-    busy.add(now, now + cyclesToTicks(lat));
-    traceNodeSpan(lane, "compute", now, now + cyclesToTicks(lat));
+    const Cycles lat = classLatency[static_cast<unsigned>(rec.cls)];
+    Tick end = issueEdge + cyclesToTicks(lat);
+    busy.add(issueEdge, end);
+    traceNodeSpan(lane, "compute", issueEdge, end);
     scheduleCompletion(lat, n);
-    return IssueResult::Issued;
+}
+
+void
+Datapath::issueMemCycle(NodeId n, unsigned lane)
+{
+    ++inFlightOps;
+    Tick end = issueEdge + clockPeriod();
+    busy.add(issueEdge, end);
+    traceNodeSpan(lane, "mem", issueEdge, end);
+    scheduleCompletion(1, n);
 }
 
 void
@@ -292,7 +490,7 @@ Datapath::scheduleCompletion(Cycles lat, NodeId n)
     // issue: complete one tick before that edge so dependents can
     // issue on the edge itself (otherwise every dependence level
     // would silently cost an extra cycle).
-    Tick when = clockEdge(lat);
+    Tick when = issueEdge + cyclesToTicks(lat);
     GENIE_ASSERT(when > 0, "completion before time begins");
     eventq.scheduleFlowRaw(when - 1, [](void *c, std::uint64_t node) {
         static_cast<Datapath *>(c)->onNodeComplete(
@@ -300,73 +498,25 @@ Datapath::scheduleCompletion(Cycles lat, NodeId n)
     }, this, n, "accel.nodeComplete");
 }
 
-Datapath::IssueResult
-Datapath::tryIssueSpadAccess(NodeId n, unsigned lane, const TraceOp &op)
+void
+Datapath::issueCacheAccess(NodeId n, unsigned lane)
 {
-    auto arr = static_cast<std::size_t>(op.arrayId);
-
-    // DMA-triggered compute: a load must find its line's ready bit
-    // set, or the lane stalls until the DMA engine fills it
-    // (Section IV-B2: the control logic stalls the whole lane).
-    if (op.op == Opcode::Load && feBits && arr < feIds.size() &&
-        feIds[arr] >= 0) {
-        if (!feBits->isFull(feIds[arr], op.offset)) {
-            ++statReadyBitStalls;
-            lanes[lane].blockedOnReadyBit = true;
-            feBits->wait(feIds[arr], op.offset, [this, lane] {
-                lanes[lane].blockedOnReadyBit = false;
-                scheduleTick();
-            });
-            return IssueResult::StopLane;
-        }
-    }
-
-    if (issued[lane].mem >= params.memOpsPerLane)
-        return IssueResult::Skip;
-
-    GENIE_ASSERT(spad && arr < spadIds.size() && spadIds[arr] >= 0,
-                 "array '%s' not mapped to a scratchpad",
-                 trace.arrays[arr].name.c_str());
-    if (!spad->tryAccess(spadIds[arr], op.offset,
-                         op.op == Opcode::Store)) {
-        ++statBankConflicts;
-        return IssueResult::Skip;
-    }
-
-    ++issued[lane].mem;
     ++inFlightOps;
-    Tick now = clockEdge(0);
-    busy.add(now, now + clockPeriod());
-    traceNodeSpan(lane, "mem", now, now + clockPeriod());
-    scheduleCompletion(1, n);
-    return IssueResult::Issued;
-}
-
-Datapath::IssueResult
-Datapath::tryIssueCacheAccess(NodeId n, unsigned lane, const TraceOp &op)
-{
-    if (issued[lane].mem >= params.memOpsPerLane)
-        return IssueResult::Skip;
-    if (!cache->portAvailable())
-        return IssueResult::Skip;
-
-    ++issued[lane].mem;
-    ++inFlightOps;
-    Tick now = clockEdge(0);
-    busy.add(now, now + clockPeriod());
-    traceNodeSpan(lane, "mem", now, now + clockPeriod());
+    Tick end = issueEdge + clockPeriod();
+    busy.add(issueEdge, end);
+    traceNodeSpan(lane, "mem", issueEdge, end);
 
     // The lane blocks until the access is known to hit (decremented
     // synchronously below for TLB-hit + cache-hit) or until the miss
     // resolves (decremented in the cache callback).
     ++lanes[lane].pendingMem;
 
-    Addr vaddr = arrayVBase[static_cast<std::size_t>(op.arrayId)] +
-                 op.offset;
+    const NodeIssue &rec = issue[n];
+    Addr vaddr =
+        arrayVBase[static_cast<std::size_t>(rec.array)] + rec.offset;
     tlb->translate(vaddr, [this, n, lane](Addr paddr) {
         sendCacheAccess(n, lane, paddr);
     });
-    return IssueResult::Issued;
 }
 
 void
@@ -401,7 +551,7 @@ Datapath::onNodeComplete(NodeId n)
     ++completedNodes;
     ++statNodes;
 
-    std::uint32_t w = waveOf(n);
+    std::uint32_t w = issue[n].wave;
     GENIE_ASSERT(waveRemaining[w] > 0, "wave count underflow");
     --waveRemaining[w];
 
@@ -424,9 +574,8 @@ Datapath::advanceWave()
     while (currentWave + 1 < numWaves &&
            waveRemaining[currentWave] == 0) {
         ++currentWave;
-        for (NodeId n : earlyReady[currentWave]) {
-            lanes[laneOf(n)].ready.push_back(n);
-        }
+        for (NodeId n : earlyReady[currentWave])
+            pushReady(n);
         earlyReady[currentWave].clear();
         if (waveRemaining[currentWave] != 0)
             break;

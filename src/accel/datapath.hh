@@ -17,13 +17,16 @@
  *    (hit-under-miss via MSHRs); other lanes keep running,
  *  - a `perfectMemory` switch (all memory ops single-cycle) for the
  *    Figure-7 processing-time decomposition.
+ *
+ * Each clock edge, a lane issues as if it scanned its 64 oldest ready
+ * ops front to back; per-class ready queues let it skip the ops whose
+ * class has no budget left without looking at them (DESIGN.md §16).
  */
 
 #ifndef GENIE_ACCEL_DATAPATH_HH
 #define GENIE_ACCEL_DATAPATH_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -109,9 +112,76 @@ class Datapath : public SimObject, public Clocked
     double memStallCycles() const { return statMemStallCycles.value(); }
 
   private:
+    /**
+     * What the issue logic competes for: the six FU classes (in
+     * FuKind order), then the three memory paths, which share the
+     * lane's per-cycle memory budget.
+     */
+    enum class IssueClass : std::uint8_t
+    {
+        IntAlu,
+        IntMul,
+        FpAdd,
+        FpMul,
+        FpDiv,
+        Other,
+        Spad,    ///< scratchpad access (bank ports, ready bits)
+        Cache,   ///< TLB + cache access (shared cache ports)
+        Perfect, ///< perfect-memory access (budget only)
+    };
+    static constexpr unsigned numIssueClasses = 9;
+
+    /** Per-node facts the issue and wake paths need, computed once in
+     * start() so the hot path never decodes the trace op. */
+    struct NodeIssue
+    {
+        std::uint32_t wave = 0;
+        /** Byte offset in the array: the ready-bit slot (Spad) or the
+         * address within the array (Cache). */
+        std::uint32_t offset = 0;
+        std::uint16_t lane = 0;
+        /** Scratchpad array id (Spad) or trace array id (Cache). */
+        std::int16_t array = -1;
+        /** Scratchpad bank (Spad). */
+        std::uint16_t bank = 0;
+        IssueClass cls = IssueClass::Other;
+        bool isStore = false;
+    };
+    static_assert(sizeof(NodeIssue) == 16);
+
+    struct ReadyEntry
+    {
+        NodeId node;
+        /** Enqueue order within the lane (oldest first). */
+        std::uint32_t seq;
+    };
+
+    /** A lane's ready nodes of one issue class, oldest first. Issued
+     * entries leave from the front, except scratchpad accesses, which
+     * may issue past a bank conflict (issueLane() closes the gap). */
+    struct ClassQueue
+    {
+        std::vector<ReadyEntry> items;
+        std::size_t head = 0;
+
+        bool empty() const { return head == items.size(); }
+    };
+
     struct LaneState
     {
-        std::deque<NodeId> ready;
+        std::array<ClassQueue, numIssueClasses> queues;
+        /** Ready triggered loads whose ready bit was empty when they
+         * became ready, oldest first, from uncheckedHead on. */
+        std::vector<ReadyEntry> unchecked;
+        std::size_t uncheckedHead = 0;
+        /** Nodes by seq since the lane last drained; invalidNode
+         * once issued. */
+        std::vector<NodeId> order;
+        /** Ready nodes in the lane. */
+        std::uint32_t live = 0;
+        /** The issue window: ready nodes with seq <= windowEnd are
+         * exactly the min(live, issueWindow) oldest. */
+        std::uint32_t windowEnd = 0;
         /** Unresolved cache work (TLB walks in progress + outstanding
          * misses). The lane stalls while this is non-zero; hits do
          * not contribute (hit-under-miss is across lanes). */
@@ -122,35 +192,51 @@ class Datapath : public SimObject, public Clocked
         Cycles divBusyUntil = 0;
 
         bool blocked() const { return pendingMem > 0 || blockedOnReadyBit; }
+        bool
+        isUnchecked(NodeId n) const
+        {
+            return uncheckedHead < unchecked.size() &&
+                   unchecked[uncheckedHead].node == n;
+        }
     };
 
     void tick();
     void scheduleTick();
 
-    /** Outcome of an issue attempt. */
-    enum class IssueResult : std::uint8_t
+    /** Number of ready entries each lane may examine per cycle (the
+     * dataflow scheduling window), oldest first. */
+    static constexpr unsigned issueWindow = 64;
+
+    /** One cycle of oldest-first issue on lane @p l; @return the
+     * ready entries examined. */
+    unsigned issueLane(unsigned l, Cycles now);
+
+    /** Check the ready bit of triggered load @p n, the oldest
+     * unchecked one: if set, drop @p n from the unchecked list; if
+     * not, stall lane @p l until it fills. @return whether it was
+     * set. */
+    bool readyBitSet(NodeId n, unsigned l);
+
+    /** The ready-bit array a scratchpad access must check (negative
+     * if none). */
+    int
+    readyBitsOfLoad(const NodeIssue &rec) const
     {
-        Issued,   ///< dispatched (or handed to the memory system)
-        Skip,     ///< structural hazard; younger ready ops may issue
-        StopLane, ///< lane-stalling condition (empty ready bit)
-    };
+        return rec.cls == IssueClass::Spad && !rec.isStore
+                   ? readyBitsOf[static_cast<std::size_t>(rec.array)]
+                   : -1;
+    }
 
-    /** Number of ready-queue entries each lane may examine per cycle
-     * (the dataflow scheduling window). */
-    static constexpr unsigned issueScanWindow = 64;
-
-    IssueResult tryIssue(NodeId n, unsigned lane);
+    /** Dispatch a compute node. */
+    void issueCompute(NodeId n, unsigned lane, Cycles now);
+    /** Start a one-cycle memory op's execution. */
+    void issueMemCycle(NodeId n, unsigned lane);
+    /** Hand a cache-mode access to the TLB. */
+    void issueCacheAccess(NodeId n, unsigned lane);
 
     /** Schedule node completion just before the edge @p lat cycles
      * out, so dependents issue on that edge. */
     void scheduleCompletion(Cycles lat, NodeId n);
-
-    IssueResult tryIssueCompute(NodeId n, unsigned lane,
-                                const TraceOp &op);
-    IssueResult tryIssueSpadAccess(NodeId n, unsigned lane,
-                                   const TraceOp &op);
-    IssueResult tryIssueCacheAccess(NodeId n, unsigned lane,
-                                    const TraceOp &op);
 
     /** Issue the translated cache access (retries on port/MSHR
      * rejection). */
@@ -158,20 +244,13 @@ class Datapath : public SimObject, public Clocked
 
     void onNodeComplete(NodeId n);
     void enqueueReady(NodeId n);
+    /** Append @p n to its lane's ready queues. */
+    void pushReady(NodeId n);
+    /** Retire the issued entry @p seq from @p lane's window (its
+     * class queue is issueLane()'s business). */
+    void retireReady(LaneState &lane, std::uint32_t seq);
     void advanceWave();
     void finishIfDrained();
-
-    unsigned laneOf(NodeId n) const
-    {
-        return trace.ops[n].iteration % params.lanes;
-    }
-    std::uint32_t waveOf(NodeId n) const
-    {
-        return trace.ops[n].iteration / params.lanes;
-    }
-
-    /** Per-cycle issue counter reset. */
-    void resetCycleCounters();
 
     /** Mirror an issued node's execution interval into the trace
      * (tracks are per-lane so waves render as parallel strips). */
@@ -195,6 +274,13 @@ class Datapath : public SimObject, public Clocked
     // Execution state.
     bool active = false;
     DoneCallback onDone;
+    std::vector<NodeIssue> issue;
+    /** Execution latency of each compute class (every opcode of an FU
+     * class has the same latency). */
+    std::array<std::uint8_t, numIssueClasses> classLatency{};
+    /** Ready-bit array of each scratchpad array's loads (negative if
+     * none). */
+    std::vector<int> readyBitsOf;
     std::vector<std::uint32_t> pendingParents;
     std::vector<LaneState> lanes;
     std::uint32_t currentWave = 0;
@@ -211,21 +297,10 @@ class Datapath : public SimObject, public Clocked
     bool drainCheckScheduled = false;
     /** Last tick at which tick() ran; issue happens at most once per
      * clock edge (completions arriving mid-cycle wake the next
-     * edge). */
+     * edge), so every lane starts each tick with full budgets. */
     Tick lastTickAt = maxTick;
-
-    // Per-cycle issue budgets.
-    Cycles cycleStamp = 0;
-    struct IssueCounters
-    {
-        unsigned intAlu = 0;
-        unsigned intMul = 0;
-        unsigned fpAdd = 0;
-        unsigned fpMul = 0;
-        unsigned other = 0;
-        unsigned mem = 0;
-    };
-    std::vector<IssueCounters> issued;
+    /** The clock edge of the running tick (issue timestamps). */
+    Tick issueEdge = 0;
 
     IntervalSet busy;
     std::array<std::uint64_t, 6> fuOps{};
@@ -239,6 +314,7 @@ class Datapath : public SimObject, public Clocked
     Stat &statReadyBitStalls;
     Stat &statBankConflicts;
     Stat &statCacheRejects;
+    Stat &statIssueAttempts;
 };
 
 } // namespace genie

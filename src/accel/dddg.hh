@@ -13,6 +13,7 @@
 #define GENIE_ACCEL_DDDG_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/trace.hh"
@@ -26,12 +27,14 @@ class Dddg
     explicit Dddg(const Trace &trace);
 
     std::size_t numNodes() const { return parentCount.size(); }
-    std::size_t numEdges() const { return edgeCount; }
+    std::size_t numEdges() const { return childIds.size(); }
 
-    /** Consumers of node @p n (register + memory dependents). */
-    const std::vector<NodeId> &children(NodeId n) const
+    /** Consumers of node @p n (register + memory dependents), in
+     * increasing order without duplicates. */
+    std::span<const NodeId> children(NodeId n) const
     {
-        return childLists[n];
+        return {childIds.data() + childStart[n],
+                childIds.data() + childStart[n + 1]};
     }
 
     /** Number of producers node @p n waits for. */
@@ -48,9 +51,11 @@ class Dddg
     std::uint64_t criticalPathCycles(const Trace &trace) const;
 
   private:
-    std::vector<std::vector<NodeId>> childLists;
+    /** Children in compressed sparse row form: node n's children are
+     * childIds[childStart[n] .. childStart[n + 1]). */
+    std::vector<std::uint32_t> childStart;
+    std::vector<NodeId> childIds;
     std::vector<std::uint32_t> parentCount;
-    std::size_t edgeCount = 0;
     std::size_t memEdges = 0;
 };
 

@@ -33,18 +33,35 @@ Scratchpad::addArray(const ArrayConfig &cfg)
 bool
 Scratchpad::tryAccess(int arrayId, Addr offset, bool isWrite)
 {
+    return tryAccessBank(arrayId, bankOf(arrayId, offset), isWrite);
+}
+
+unsigned
+Scratchpad::bankOf(int arrayId, Addr offset) const
+{
+    const ArrayConfig &cfg = arrayConfig(arrayId);
+    return static_cast<unsigned>((offset / cfg.wordBytes) %
+                                 cfg.partitions);
+}
+
+bool
+Scratchpad::tryAccessBank(int arrayId, unsigned bank, bool isWrite)
+{
     GENIE_ASSERT(arrayId >= 0 &&
                      static_cast<std::size_t>(arrayId) < arrays.size(),
                  "bad scratchpad array id %d", arrayId);
     ArrayState &st = arrays[static_cast<std::size_t>(arrayId)];
+    GENIE_ASSERT(bank < st.used.size(), "bad scratchpad bank %u", bank);
 
-    Cycles now = curCycle();
-    if (st.stamp != now) {
-        st.stamp = now;
-        std::fill(st.used.begin(), st.used.end(), 0);
+    if (st.stampTick != eventq.curTick()) {
+        st.stampTick = eventq.curTick();
+        Cycles now = curCycle();
+        if (st.stamp != now) {
+            st.stamp = now;
+            std::fill(st.used.begin(), st.used.end(), 0);
+        }
     }
 
-    std::size_t bank = (offset / st.cfg.wordBytes) % st.cfg.partitions;
     if (st.used[bank] >= st.cfg.portsPerPartition) {
         ++statConflicts;
         if (Tracer *t = tracerFor(eventq, TraceCategory::Spad))

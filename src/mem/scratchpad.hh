@@ -49,6 +49,12 @@ class Scratchpad : public SimObject, public Clocked
      */
     bool tryAccess(int arrayId, Addr offset, bool isWrite);
 
+    /** The partition that holds the word at @p offset. */
+    unsigned bankOf(int arrayId, Addr offset) const;
+
+    /** tryAccess() on a partition given by bankOf(). */
+    bool tryAccessBank(int arrayId, unsigned bank, bool isWrite);
+
     const ArrayConfig &arrayConfig(int arrayId) const;
     std::size_t numArrays() const { return arrays.size(); }
 
@@ -73,6 +79,9 @@ class Scratchpad : public SimObject, public Clocked
         /** Per-partition usage counters, reset each cycle. */
         std::vector<unsigned> used;
         Cycles stamp = 0;
+        /** Tick of the last access: accesses on one clock edge skip
+         * the cycle computation. */
+        Tick stampTick = maxTick;
         std::uint64_t reads = 0;
         std::uint64_t writes = 0;
     };

@@ -39,8 +39,19 @@ class IntervalSet
     {
         if (begin >= end)
             return;
+        if (!raw.empty()) {
+            // Callers mostly add in time order: an interval that
+            // starts inside (or right at the end of) the last one
+            // extends it instead of growing the list.
+            Interval &last = raw.back();
+            if (begin >= last.begin && begin <= last.end) {
+                last.end = std::max(last.end, end);
+                return;
+            }
+            if (begin < last.begin)
+                normalized = false;
+        }
         raw.push_back({begin, end});
-        normalized = false;
     }
 
     bool empty() const { return raw.empty(); }

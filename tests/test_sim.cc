@@ -211,6 +211,49 @@ TEST(IntervalSet, Contains)
     EXPECT_FALSE(s.contains(20));
 }
 
+TEST(IntervalSet, AddOrderAndInterleavedQueriesDoNotChangeTheSet)
+{
+    // add() extends the last interval when the new one starts inside
+    // it; whatever the order of adds and queries, the set must equal
+    // a tick-by-tick reference union.
+    Rng rng(7);
+    for (int round = 0; round < 50; ++round) {
+        std::vector<IntervalSet::Interval> ivs;
+        for (int i = 0; i < 200; ++i) {
+            Tick b = rng.below(2000);
+            ivs.push_back({b, b + rng.below(41)});
+        }
+        std::vector<bool> covered(2100, false);
+        for (const auto &iv : ivs) {
+            for (Tick t = iv.begin; t < iv.end; ++t)
+                covered[t] = true;
+        }
+        IntervalSet reference;
+        for (Tick t = 0; t < covered.size(); ++t) {
+            if (covered[t])
+                reference.add(t, t + 1);
+        }
+
+        IntervalSet shuffled;
+        for (std::size_t i = 0; i < ivs.size(); ++i) {
+            shuffled.add(ivs[i].begin, ivs[i].end);
+            if (i % 37 == 0)
+                (void)shuffled.measure(); // normalize mid-stream
+        }
+        std::sort(ivs.begin(), ivs.end(), [](const auto &a, const auto &b) {
+            return a.begin < b.begin;
+        });
+        IntervalSet inOrder;
+        for (std::size_t i = 0; i < ivs.size(); ++i) {
+            inOrder.add(ivs[i].begin, ivs[i].end);
+            if (i % 29 == 0)
+                (void)inOrder.hi();
+        }
+        EXPECT_EQ(shuffled.intervals(), reference.intervals());
+        EXPECT_EQ(inOrder.intervals(), reference.intervals());
+    }
+}
+
 TEST(Stats, RegistersAndDumps)
 {
     StatGroup g("unit");
