@@ -22,13 +22,16 @@
  * stats machine-readably ("-" = stdout); --sample-period=N snapshots
  * every scalar stat each N accelerator cycles, written with
  * --samples-json=FILE / --samples-csv=FILE; --profile prints a
- * host-time attribution table per event kind after the run.
+ * host-time attribution table per event kind after the run, plus the
+ * profiler's own overhead: run() timed bare (an extra run) and
+ * profiled, and their ratio.
  *
  * --report[=FILE] renders the Genie-Scope single-run report (critical
  * path, per-category and per-component blame, what-if speedups) after
  * the run, forcing tracing on for the run; "-" or no value = stdout.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -200,11 +203,34 @@ main(int argc, char **argv)
         if (wantReport)
             config.tracing.enabled = true;
 
+        // --profile also reports the profiler's own cost: the same
+        // point runs once bare first, its exports sent to /dev/null
+        // so both legs do the same work. Results are identical by
+        // contract, so the bare leg changes no other output.
+        std::uint64_t bareNs = 0;
+        if (wantProfile) {
+            SocConfig bare = config;
+            for (std::string *path :
+                 {&bare.tracing.outPath, &bare.metrics.statsJsonPath,
+                  &bare.metrics.statsCsvPath,
+                  &bare.metrics.samplesJsonPath,
+                  &bare.metrics.samplesCsvPath}) {
+                if (!path->empty())
+                    *path = "/dev/null";
+            }
+            Soc bareSoc(bare, out.trace, dddg);
+            std::uint64_t t0 = profilerNowNs();
+            bareSoc.run();
+            bareNs = profilerNowNs() - t0;
+        }
+
         Soc soc(config, out.trace, dddg);
         HostProfiler profiler;
         if (wantProfile)
             soc.eventQueue().setProfiler(&profiler);
+        std::uint64_t t0 = profilerNowNs();
         SocResults results = soc.run();
+        std::uint64_t profiledNs = profilerNowNs() - t0;
 
         if (wantRecord) {
             printRecord(std::cout, config, results);
@@ -220,6 +246,13 @@ main(int argc, char **argv)
         if (wantProfile) {
             std::printf("\n--- host profile ---\n");
             profiler.report(std::cout);
+            std::printf("profiler overhead: run() %.3f ms bare, "
+                        "%.3f ms profiled, %.2fx\n",
+                        static_cast<double>(bareNs) * 1e-6,
+                        static_cast<double>(profiledNs) * 1e-6,
+                        bareNs > 0 ? static_cast<double>(profiledNs) /
+                                         static_cast<double>(bareNs)
+                                   : 0.0);
         }
         if (wantReport) {
             SpanDag dag = buildSpanDag(*soc.tracer());

@@ -328,7 +328,7 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
         opts.onProgress(progress());
     };
 
-    auto process = [&](std::size_t i, HostProfiler &profiler) {
+    auto process = [&](std::size_t i) {
         SocResults cachedResults;
         if (st.cache->lookup(st.keys[i], cachedResults)) {
             points[i].results = cachedResults;
@@ -360,12 +360,14 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
             st.stopped.store(true);
             return;
         }
-        std::uint64_t eventsBefore = profiler.totalEvents();
-        std::uint64_t nsBefore = profiler.totalWallNs();
         try {
+            // Two clock reads bracket run() alone: no per-event hook,
+            // and Soc construction and teardown stay outside.
             Soc soc(configs[i], trace, dddg);
-            soc.eventQueue().setProfiler(&profiler);
+            std::uint64_t t0 = profilerNowNs();
             points[i].results = soc.run();
+            st.wallNs.fetch_add(profilerNowNs() - t0);
+            st.events.fetch_add(soc.eventQueue().numExecuted());
         } catch (const std::exception &e) {
             // Scope the lock to the push_back: reportProgress runs
             // the user callback, and calling out under failureMutex
@@ -380,8 +382,6 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
             reportProgress(false);
             return;
         }
-        st.events.fetch_add(profiler.totalEvents() - eventsBefore);
-        st.wallNs.fetch_add(profiler.totalWallNs() - nsBefore);
         st.cache->insert(st.keys[i], points[i].results);
         // Write-through: the point is durable the moment it
         // completes, so a killed process loses at most what was
@@ -403,7 +403,6 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
     };
 
     auto worker = [&](std::size_t self) {
-        HostProfiler profiler;
         while (!st.stopped.load()) {
             if (opts.stopRequested && opts.stopRequested->load()) {
                 st.stopped.store(true);
@@ -413,7 +412,7 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
             if (i == static_cast<std::size_t>(-1))
                 break;
             st.activeWorkers.fetch_add(1);
-            process(i, profiler);
+            process(i);
             st.activeWorkers.fetch_sub(1);
         }
     };

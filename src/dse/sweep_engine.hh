@@ -30,9 +30,11 @@
  * (each Soc owns its event queue), so sweep output is byte-identical
  * across thread counts, cold vs. warm caches, and interrupted-then-
  * resumed vs. uninterrupted runs — the golden-figure suite asserts
- * all three. Host time is read only through the sanctioned
- * HostProfiler, for the MEPS throughput report; it never enters
- * results or the journal (the sweep-determinism lint rule).
+ * all three. Host time is read through profilerNowNs() only: two
+ * reads around each fresh point's Soc::run(), for the MEPS report,
+ * and the progress clock. No profiler is attached to a point, so no
+ * event pays for timing. Host time never enters results or the
+ * journal (the sweep-determinism lint rule).
  */
 
 #ifndef GENIE_DSE_SWEEP_ENGINE_HH
@@ -65,7 +67,8 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
     std::size_t cached = 0; ///< served from the ResultCache/journal
     std::size_t failed = 0; ///< worker exceptions (see failures())
     /** Aggregate simulator throughput so far: millions of simulated
-     * events retired per host-second, summed over workers. */
+     * events retired per host-second spent inside Soc::run() of the
+     * fresh points, summed over workers (0 until a point is fresh). */
     double meps = 0.0;
 
     // Live telemetry (populated only while a run is in flight; all
@@ -220,11 +223,14 @@ class SweepEngine
         return _journalCorruptLines;
     }
 
-    /** Simulated events retired across all workers (HostProfiler). */
+    /** Simulated events retired by the freshly simulated points of
+     * the last run (each Soc's EventQueue::numExecuted(), summed);
+     * cached and failed points add none. */
     std::uint64_t simulatedEvents() const { return _events; }
 
-    /** Host nanoseconds spent inside event actions, summed across
-     * workers. */
+    /** Host nanoseconds inside Soc::run() of the freshly simulated
+     * points, summed across workers; Soc construction and teardown
+     * are excluded. At most threads x the sweep's wall time. */
     std::uint64_t hostWallNs() const { return _wallNs; }
 
     /** Aggregate MEPS of the last run. */

@@ -1,7 +1,9 @@
 #include "profiler.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 
 #include "sim/logging.hh"
 
@@ -29,17 +31,55 @@ nowNs()
     return profilerNowNs();
 }
 
-/** Handler latencies cluster well under 10 us; 100 ns bins cover
- * that span and percentile() interpolates overflow mass up to the
- * observed max, so outliers still report sanely. */
-Distribution
-makeLatencyDist()
+} // namespace
+
+unsigned
+LatencyHistogram::bucketOf(std::uint64_t ns)
 {
-    return Distribution("latency_ns", "per-event host latency (ns)",
-                        0.0, 10000.0, 100);
+    if (ns < subBuckets)
+        return static_cast<unsigned>(ns);
+    unsigned e = 63 - static_cast<unsigned>(std::countl_zero(ns));
+    unsigned sub = static_cast<unsigned>(ns >> (e - subBits)) &
+                   (subBuckets - 1);
+    return (e - subBits + 1) * subBuckets + sub;
 }
 
-} // namespace
+std::uint64_t
+LatencyHistogram::lowerEdge(unsigned bucket)
+{
+    if (bucket < subBuckets)
+        return bucket;
+    unsigned e = bucket / subBuckets + subBits - 1;
+    std::uint64_t sub = bucket % subBuckets;
+    return (subBuckets + sub) << (e - subBits);
+}
+
+void
+LatencyHistogram::sample(std::uint64_t ns)
+{
+    counts[bucketOf(ns)] += 1;
+    _count += 1;
+    _sum += ns;
+    _max = std::max(_max, ns);
+}
+
+std::uint64_t
+LatencyHistogram::quantile(double p) const
+{
+    if (_count == 0)
+        return 0;
+    p = std::clamp(p, 0.0, 1.0);
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        std::ceil(p * static_cast<double>(_count)));
+    rank = std::clamp<std::uint64_t>(rank, 1, _count);
+    std::uint64_t seen = 0;
+    for (unsigned b = 0; b < numBuckets; ++b) {
+        seen += counts[b];
+        if (seen >= rank)
+            return lowerEdge(b);
+    }
+    return lowerEdge(bucketOf(_max));
+}
 
 void
 HostProfiler::beginEvent(Tick when, const char *kind)
@@ -70,17 +110,15 @@ HostProfiler::endEvent()
     if (cached != kindCache.end()) {
         kp = cached->second;
     } else {
-        auto [it, inserted] = kinds.try_emplace(
-            curKind != nullptr ? curKind : "(untagged)");
-        if (inserted)
-            it->second.latencyNs = makeLatencyDist();
+        auto it = kinds.try_emplace(
+            curKind != nullptr ? curKind : "(untagged)").first;
         kp = &it->second;
         kindCache.emplace(curKind, kp);
     }
     KindProfile &k = *kp;
     k.events += 1;
     k.wallNs += ns;
-    k.latencyNs.sample(static_cast<double>(ns));
+    k.latencyNs.sample(ns);
     _totalEvents += 1;
     _totalWallNs += ns;
 }
@@ -120,7 +158,8 @@ HostProfiler::report(std::ostream &os) const
         os << format("%-28s %12llu %12.3f %6.1f%% %9.0f %9.0f\n",
                      kind.c_str(), (unsigned long long)k.events,
                      static_cast<double>(k.wallNs) * 1e-6, share,
-                     k.latencyNs.p50(), k.latencyNs.p95());
+                     static_cast<double>(k.latencyNs.p50()),
+                     static_cast<double>(k.latencyNs.p95()));
     }
     os << format("total: %llu events, %.3f ms, %.2f M events/s\n",
                  (unsigned long long)_totalEvents,

@@ -21,6 +21,7 @@
 #ifndef GENIE_METRICS_PROFILER_HH
 #define GENIE_METRICS_PROFILER_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "sim/thread_safety.hh"
 
 namespace genie
@@ -45,6 +45,48 @@ namespace genie
  */
 std::uint64_t profilerNowNs();
 
+/**
+ * HDR-style log-bucketed histogram of host latencies (ns). Each
+ * power-of-two range [2^e, 2^(e+1)) splits into subBuckets linear
+ * sub-buckets, and values below subBuckets get a bucket each, so the
+ * buckets cover every uint64 value — nothing overflows — and a
+ * bucket is at most 1/subBuckets of its lower edge wide.
+ *
+ * quantile(p) is the lower edge of the bucket holding rank
+ * ceil(p * count). Every sample at or above that rank is at least
+ * that large, so count * (1 - p) * quantile(p) <= sum() holds
+ * exactly: a quantile never claims more time than its own total.
+ */
+class LatencyHistogram GENIE_THREAD_LOCAL_OK
+{
+  public:
+    static constexpr unsigned subBits = 3;
+    static constexpr unsigned subBuckets = 1u << subBits;
+    static constexpr unsigned numBuckets =
+        (64 - subBits + 1) * subBuckets;
+
+    void sample(std::uint64_t ns);
+
+    std::uint64_t count() const { return _count; }
+    std::uint64_t sum() const { return _sum; }
+    std::uint64_t max() const { return _max; }
+
+    /** Lower edge of the bucket holding rank ceil(p * count), for p
+     * in [0, 1]; 0 when empty. */
+    std::uint64_t quantile(double p) const;
+    std::uint64_t p50() const { return quantile(0.50); }
+    std::uint64_t p95() const { return quantile(0.95); }
+
+    static unsigned bucketOf(std::uint64_t ns);
+    static std::uint64_t lowerEdge(unsigned bucket);
+
+  private:
+    std::array<std::uint64_t, numBuckets> counts{};
+    std::uint64_t _count = 0;
+    std::uint64_t _sum = 0;
+    std::uint64_t _max = 0;
+};
+
 class HostProfiler GENIE_THREAD_LOCAL_OK : public EventProfiler
 {
   public:
@@ -55,7 +97,7 @@ class HostProfiler GENIE_THREAD_LOCAL_OK : public EventProfiler
         std::uint64_t wallNs = 0;
         /** Per-event handler latency histogram (ns), for the p50/p95
          * columns of report(). */
-        Distribution latencyNs;
+        LatencyHistogram latencyNs;
     };
 
     void beginEvent(Tick when, const char *kind) override;

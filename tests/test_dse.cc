@@ -17,6 +17,7 @@
 #include "dse/pareto.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
+#include "metrics/profiler.hh"
 #include "workloads/workload.hh"
 
 namespace genie
@@ -548,6 +549,63 @@ TEST(SweepEngine, EveryPointFailingStillCountsAndSortsFailures)
     for (std::size_t i = 0; i < engine.failures().size(); ++i) {
         EXPECT_EQ(engine.failures()[i].index, i);
         EXPECT_EQ(engine.failures()[i].config.lanes, 0u);
+    }
+}
+
+TEST(SweepEngine, HostAccountingCountsFreshRunsOnly)
+{
+    // A small DMA + cache space on the smallest kernel. The engine
+    // times each fresh point's run() with two clock reads and takes
+    // its event count from the point's own queue.
+    Trace trace = makeWorkload("aes-aes")->build().trace;
+    Dddg dddg(trace);
+    std::vector<SocConfig> configs;
+    for (MemInterface mem :
+         {MemInterface::ScratchpadDma, MemInterface::Cache}) {
+        for (unsigned lanes : {1u, 4u}) {
+            SocConfig c;
+            c.memType = mem;
+            c.lanes = lanes;
+            configs.push_back(c);
+        }
+    }
+    std::uint64_t standaloneEvents = 0;
+    for (const auto &c : configs) {
+        Soc soc(c, trace, dddg);
+        soc.run();
+        standaloneEvents += soc.eventQueue().numExecuted();
+    }
+    ASSERT_GT(standaloneEvents, 0u);
+
+    for (unsigned threads : {1u, 4u}) {
+        ResultCache cache;
+        SweepOptions options;
+        options.threads = threads;
+        options.cache = &cache;
+        SweepEngine engine(std::move(options));
+        StatRegistry registry;
+        engine.registerStats(registry);
+
+        std::uint64_t t0 = profilerNowNs();
+        engine.run(configs, trace, dddg);
+        std::uint64_t sweepNs = profilerNowNs() - t0;
+        EXPECT_EQ(engine.simulatedEvents(), standaloneEvents)
+            << threads << " threads";
+        EXPECT_GT(engine.hostWallNs(), 0u);
+        EXPECT_LE(engine.hostWallNs(), threads * sweepNs)
+            << "run() time summed over workers cannot exceed the "
+               "pool's wall time";
+        EXPECT_GT(engine.meps(), 0.0);
+        EXPECT_EQ(registry.get("sweep.events"),
+                  static_cast<double>(standaloneEvents));
+
+        // Served entirely from the warm cache: nothing ran.
+        engine.run(configs, trace, dddg);
+        EXPECT_EQ(engine.progress().cached, configs.size());
+        EXPECT_EQ(engine.simulatedEvents(), 0u);
+        EXPECT_EQ(engine.hostWallNs(), 0u);
+        EXPECT_EQ(engine.meps(), 0.0);
+        EXPECT_EQ(engine.progress().meps, 0.0);
     }
 }
 

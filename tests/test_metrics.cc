@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -500,6 +502,116 @@ TEST(Profiler, AttributionSumsToTotals)
     EXPECT_EQ(profiler.totalWallNs(), 0u);
     EXPECT_TRUE(profiler.byKind().empty());
     EXPECT_DOUBLE_EQ(profiler.eventsPerSecond(), 0.0);
+}
+
+TEST(Profiler, LatencyBucketsCoverEveryValueWithBoundedWidth)
+{
+    using H = LatencyHistogram;
+    std::vector<std::uint64_t> values;
+    for (std::uint64_t v = 0; v < 200; ++v)
+        values.push_back(v);
+    for (unsigned e = 1; e < 64; ++e) {
+        std::uint64_t pow = std::uint64_t{1} << e;
+        values.insert(values.end(), {pow - 1, pow, pow + 1});
+    }
+    values.push_back(std::numeric_limits<std::uint64_t>::max());
+    for (std::uint64_t v : values) {
+        unsigned b = H::bucketOf(v);
+        ASSERT_LT(b, H::numBuckets) << v;
+        std::uint64_t lo = H::lowerEdge(b);
+        EXPECT_LE(lo, v);
+        // No sample overflows: v is within one bucket width of its
+        // lower edge, at most lo / subBuckets (and exact below that).
+        EXPECT_LE(v - lo, lo / H::subBuckets) << v;
+        if (b + 1 < H::numBuckets) {
+            EXPECT_GT(H::lowerEdge(b + 1), v) << v;
+        }
+    }
+    EXPECT_EQ(H::bucketOf(std::numeric_limits<std::uint64_t>::max()),
+              H::numBuckets - 1);
+}
+
+/** count * (1 - p) * quantile(p) <= sum, checked exactly for every
+ * p = k / 1000, and no quantile above the observed max. */
+void
+expectQuantilesRespectTotal(const LatencyHistogram &h,
+                            const std::string &name)
+{
+    for (unsigned k = 0; k <= 1000; ++k) {
+        std::uint64_t q = h.quantile(k / 1000.0);
+        unsigned __int128 claimed =
+            static_cast<unsigned __int128>(h.count()) * (1000 - k) * q;
+        unsigned __int128 total =
+            static_cast<unsigned __int128>(h.sum()) * 1000;
+        EXPECT_TRUE(claimed <= total)
+            << name << ": p=" << k / 1000.0 << " q=" << q
+            << " count=" << h.count() << " sum=" << h.sum();
+        EXPECT_LE(q, h.max()) << name;
+        if (k > 0) {
+            EXPECT_GE(q, h.quantile((k - 1) / 1000.0)) << name;
+        }
+    }
+}
+
+TEST(Profiler, LatencyQuantilesRespectTheirTotal)
+{
+    // The linear-bin Distribution spread this set's overflow mass up
+    // to its 50 ms max and reported p95 = 5.9 ms, but the sum allows
+    // at most 0.109 ms.
+    LatencyHistogram outlier;
+    for (int i = 0; i < 10000; ++i)
+        outlier.sample(100);
+    for (int i = 0; i < 600; ++i)
+        outlier.sample(11000);
+    outlier.sample(50000000);
+    expectQuantilesRespectTotal(outlier, "outlier");
+    EXPECT_LE(outlier.p95(), 11000u);
+    EXPECT_GT(outlier.p95(), 11000u - 11000u / 8);
+    EXPECT_LE(outlier.p50(), 100u);
+    EXPECT_GT(outlier.p50(), 100u - 100u / 8);
+
+    // Every sample exactly on a bucket edge: the bound is tight at
+    // p = 0 and must still hold.
+    LatencyHistogram edges;
+    for (int i = 0; i < 1024; ++i)
+        edges.sample(std::uint64_t{1} << 20);
+    expectQuantilesRespectTotal(edges, "edges");
+    EXPECT_EQ(edges.quantile(0.0), std::uint64_t{1} << 20);
+    EXPECT_EQ(edges.quantile(1.0), std::uint64_t{1} << 20);
+
+    // One enormous sample behind a million tiny ones.
+    LatencyHistogram tail;
+    for (int i = 0; i < 1000000; ++i)
+        tail.sample(1);
+    tail.sample(std::uint64_t{1} << 40);
+    expectQuantilesRespectTotal(tail, "tail");
+    EXPECT_EQ(tail.p95(), 1u);
+    EXPECT_EQ(tail.quantile(1.0), std::uint64_t{1} << 40);
+
+    // Values just below each power of two, the widest error inside
+    // a bucket, plus zeros.
+    LatencyHistogram ragged;
+    for (unsigned e = 1; e <= 40; ++e) {
+        for (int r = 0; r < 3; ++r)
+            ragged.sample((std::uint64_t{1} << e) - 1);
+        ragged.sample(0);
+    }
+    expectQuantilesRespectTotal(ragged, "ragged");
+
+    // Log-uniform spread from a fixed-seed LCG.
+    LatencyHistogram spread;
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (int i = 0; i < 20000; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        unsigned e = static_cast<unsigned>((x >> 58) % 36);
+        spread.sample((x >> 20) & ((std::uint64_t{1} << e) - 1));
+    }
+    expectQuantilesRespectTotal(spread, "spread");
+
+    LatencyHistogram single;
+    single.sample(777);
+    expectQuantilesRespectTotal(single, "single");
+    EXPECT_EQ(LatencyHistogram().quantile(0.5), 0u);
 }
 
 // ---------------------------------------------------------------------

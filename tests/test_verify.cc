@@ -730,26 +730,83 @@ TEST(LintEventAffinity, RendezvousSettersNeedAnOwningContext)
     const char *offender =
         "namespace genie {\n"
         "void Probe::attach(EventQueue &eq) {\n"
-        "    eq.setProfiler(&profiler);\n"
+        "    eq.setTracer(&tracer);\n"
         "}\n"
         "} // namespace genie\n";
     const char *owner =
         "namespace genie {\n"
         "void runPoint(const SocConfig &cfg) {\n"
         "    Soc soc(cfg, trace, dddg);\n"
-        "    soc.eventQueue().setProfiler(&profiler);\n"
+        "    soc.eventQueue().setTracer(&tracer);\n"
         "}\n"
         "} // namespace genie\n";
     auto bad = findingsFor({{"src/metrics/probe.cc", offender}},
                            "event-affinity");
     ASSERT_EQ(bad.size(), 1u);
-    EXPECT_NE(bad[0].message.find("setProfiler"), std::string::npos);
+    EXPECT_NE(bad[0].message.find("setTracer"), std::string::npos);
     // Constructing the Soc locally, or living in src/core, is the
     // single-owner setup phase the rule licenses.
     EXPECT_TRUE(findingsFor({{"src/dse/runner.cc", owner}},
                             "event-affinity")
                     .empty());
     EXPECT_TRUE(findingsFor({{"src/core/soc.cc", offender}},
+                            "event-affinity")
+                    .empty());
+}
+
+TEST(LintEventAffinity, SetProfilerIsAFindingAnywhereUnderSrc)
+{
+    // The shape SweepEngine once had: a per-event profiler attached
+    // to a locally built Soc. The single-owner setup phase that
+    // licenses the other setters does not license this one, and
+    // neither does src/core or src/sim.
+    const char *attach =
+        "namespace genie {\n"
+        "void runPoint(const SocConfig &cfg) {\n"
+        "    Soc soc(cfg, trace, dddg);\n"
+        "    soc.eventQueue().setProfiler(&profiler);\n"
+        "    soc.run();\n"
+        "}\n"
+        "} // namespace genie\n";
+    for (const char *path : {"src/dse/sweep_engine.cc",
+                             "src/core/soc.cc", "src/sim/probe.cc"}) {
+        auto fs = findingsFor({{path, attach}}, "event-affinity");
+        ASSERT_EQ(fs.size(), 1u) << path;
+        EXPECT_NE(fs[0].message.find("setProfiler"), std::string::npos);
+        EXPECT_EQ(fs[0].line, 4);
+    }
+    // Outside src/ (the genie_run --profile driver) it is allowed.
+    EXPECT_TRUE(findingsFor({{"examples/genie_run.cpp", attach}},
+                            "event-affinity")
+                    .empty());
+}
+
+TEST(LintEventAffinity, BracketedRunAndSetterDeclarationAreClean)
+{
+    // The sanctioned replacement: two clock reads around run() and
+    // the queue's own event counter. The setter's declaration in
+    // src/sim is not a call.
+    const char *bracketed =
+        "namespace genie {\n"
+        "void runPoint(const SocConfig &cfg) {\n"
+        "    Soc soc(cfg, trace, dddg);\n"
+        "    std::uint64_t t0 = profilerNowNs();\n"
+        "    soc.run();\n"
+        "    wallNs += profilerNowNs() - t0;\n"
+        "    events += soc.eventQueue().numExecuted();\n"
+        "}\n"
+        "} // namespace genie\n";
+    const char *declaration =
+        "namespace genie {\n"
+        "class EventQueue {\n"
+        "  public:\n"
+        "    void setProfiler(EventProfiler *p) { _profiler = p; }\n"
+        "  private:\n"
+        "    EventProfiler *_profiler = nullptr;\n"
+        "};\n"
+        "} // namespace genie\n";
+    EXPECT_TRUE(findingsFor({{"src/dse/sweep_engine.cc", bracketed},
+                             {"src/sim/event_queue.hh", declaration}},
                             "event-affinity")
                     .empty());
 }

@@ -255,14 +255,28 @@ void
 checkEventAffinity(const DeclIndex &index, std::vector<Finding> &out)
 {
     static const char *const setters[] = {
-        "setTracer", "setStatRegistry", "setProfiler",
-        "setFaultInjector"};
+        "setTracer", "setStatRegistry", "setFaultInjector"};
 
     for (const auto &path : index.filePaths()) {
-        if (!startsWith(path, "src/") || startsWith(path, "src/sim/"))
+        if (!startsWith(path, "src/"))
             continue;
         const SourceFile *sf = index.file(path);
         const auto &toks = sf->tokens;
+
+        // A per-event profiler is for explicit tools (genie_run
+        // --profile, the benches), never library code: attached in
+        // src/, it taxes every event of every caller.
+        for (std::size_t i = 0; i < toks.size(); ++i) {
+            if (toks[i].text == "setProfiler" && isMemberCall(toks, i))
+                out.push_back(
+                    {"event-affinity", path, toks[i].line,
+                     "setProfiler() under src/: the library never "
+                     "attaches a per-event profiler; time run() "
+                     "with profilerNowNs() and count events with "
+                     "numExecuted() instead"});
+        }
+        if (startsWith(path, "src/sim/"))
+            continue;
 
         bool hasTaggedSchedule = false;
         std::vector<std::size_t> descheduleSites;

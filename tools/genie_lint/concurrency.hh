@@ -31,10 +31,12 @@
  *    parallel kernel will enforce at runtime. deschedule() is allowed
  *    only in a TU that also owns a kind-tagged schedule site (you may
  *    only cancel what you scheduled). Rendezvous-slot setters
- *    (setTracer/setStatRegistry/setProfiler/setFaultInjector) are
- *    allowed in src/core (the Soc layer owns its queues) or in a
- *    function that locally constructed the Soc — i.e. a single-owner
- *    setup phase.
+ *    (setTracer/setStatRegistry/setFaultInjector) are allowed in
+ *    src/core (the Soc layer owns its queues) or in a function that
+ *    locally constructed the Soc — i.e. a single-owner setup phase.
+ *    setProfiler is a finding anywhere under src/ (src/sim too): the
+ *    per-event profiler belongs to explicit tools, and library code
+ *    times run() with two profilerNowNs() reads instead.
  *
  *  - flow-site: a TU that records spans (it calls tracerFor) must
  *    schedule through the flow-aware variants — scheduleFlow()/

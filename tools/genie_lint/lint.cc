@@ -178,7 +178,7 @@ const TokenRule faultRngTokens[] = {
 // may observe which thread or process computed a point. Wall-clock
 // reads are already banned tree-wide by the determinism rule; this
 // rule adds the scheduler-identity sources. (Host time for the MEPS
-// report is read only through the sanctioned HostProfiler.)
+// report is read only through the sanctioned profilerNowNs().)
 const TokenRule sweepDeterminismTokens[] = {
     {"std::this_thread::get_id",
      "thread identity must not influence sweep results or the "
