@@ -30,7 +30,7 @@ BM_EventQueueScheduleRun(benchmark::State &state)
         EventQueue eq;
         std::uint64_t sink = 0;
         for (std::size_t i = 0; i < n; ++i)
-            eq.schedule(i * 10, [&sink, i] { sink += i; });
+            eq.schedule(i * 10, [&sink, i] { sink += i; }, "bench.event");
         eq.run();
         benchmark::DoNotOptimize(sink);
     }
@@ -47,9 +47,9 @@ BM_EventQueueSelfRescheduling(benchmark::State &state)
         std::uint64_t count = 0;
         std::function<void()> tick = [&] {
             if (++count < 100000)
-                eq.scheduleIn(10, tick);
+                eq.schedule(eq.curTick() + 10, tick, "bench.tick");
         };
-        eq.scheduleIn(10, tick);
+        eq.schedule(10, tick, "bench.tick");
         eq.run();
         benchmark::DoNotOptimize(count);
     }

@@ -64,9 +64,6 @@ usage()
         "prefetch=0|1\n"
         "         tlb_entries=N isolated=0|1 perfect_mem=0|1 "
         "inf_bw=0|1\n"
-        "         queue=heap|ladder (or --queue=; host-speed knob, "
-        "results\n"
-        "           are byte-identical across strategies)\n"
         "iface (Genie-Iface):\n"
         "         mem_type=dma|acp|cache mem_type.<array>=dma|acp\n"
         "         completion=spin|interrupt irq_latency_ns=N\n"
@@ -133,9 +130,6 @@ main(int argc, char **argv)
             wantReport = true;
             reportPath = argv[i] + 9;
         }
-        else if (std::strncmp(argv[i], "--queue=", 8) == 0)
-            options.emplace_back(std::string("queue=") +
-                                 (argv[i] + 8));
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
             options.emplace_back(std::string("trace_out=") +
                                  (argv[i] + 8));

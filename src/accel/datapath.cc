@@ -250,7 +250,7 @@ Datapath::scheduleTick()
     // Raw dispatch (Genie-Turbo): the two hottest event kinds in the
     // tree — accel.tick and accel.nodeComplete — skip std::function
     // entirely.
-    eventq.scheduleFlowRaw(at, [](void *c, std::uint64_t) {
+    eventq.schedule(at, [](void *c, std::uint64_t) {
         auto *self = static_cast<Datapath *>(c);
         self->tickScheduled = false;
         self->tick();
@@ -492,7 +492,7 @@ Datapath::scheduleCompletion(Cycles lat, NodeId n)
     // would silently cost an extra cycle).
     Tick when = issueEdge + cyclesToTicks(lat);
     GENIE_ASSERT(when > 0, "completion before time begins");
-    eventq.scheduleFlowRaw(when - 1, [](void *c, std::uint64_t node) {
+    eventq.schedule(when - 1, [](void *c, std::uint64_t node) {
         static_cast<Datapath *>(c)->onNodeComplete(
             static_cast<NodeId>(node));
     }, this, n, "accel.nodeComplete");
@@ -591,7 +591,7 @@ Datapath::finishIfDrained()
     if (cache && cache->hasOutstanding()) {
         if (!drainCheckScheduled) {
             drainCheckScheduled = true;
-            scheduleCyclesRaw(1, [](void *c, std::uint64_t) {
+            scheduleCycles(1, [](void *c, std::uint64_t) {
                 auto *self = static_cast<Datapath *>(c);
                 self->drainCheckScheduled = false;
                 self->finishIfDrained();
@@ -608,8 +608,7 @@ Datapath::finishIfDrained()
     if (onDone) {
         DoneCallback done = std::move(onDone);
         onDone = nullptr;
-        eventq.scheduleFlow(clockEdge(0), std::move(done),
-                            "accel.done");
+        eventq.schedule(clockEdge(0), std::move(done), "accel.done");
     }
 }
 

@@ -217,12 +217,6 @@ applyConfigOption(SocConfig &config, const std::string &option)
         config.faults.backoffCycles = parseUnsigned(key, value);
     } else if (key == "watchdog_interval") {
         config.faults.watchdogCycles = parseU64(key, value);
-    } else if (key == "queue") {
-        // Host-speed knob only (Genie-Turbo): never rendered back by
-        // configToOptions() and never part of the canonical key, so
-        // records, goldens and sweep caches are identical across
-        // strategies.
-        config.queue = parseQueueStrategy(value);
     } else {
         fatal("unknown option '%s'", key.c_str());
     }

@@ -15,9 +15,9 @@ configCanonicalKey(const SocConfig &c)
     // precedent): a default-valued knob simulates identically to a
     // build that predates it, so the old key may keep hitting, while
     // any non-default value produces a key old journals never wrote.
-    // Host-side knobs (queue strategy, tracing/metrics sinks) are
-    // deliberately absent: they cannot change simulated results, so
-    // runs differing only in them must share one key.
+    // Host-side knobs (tracing/metrics sinks) are deliberately
+    // absent: they cannot change simulated results, so runs differing
+    // only in them must share one key.
     std::string s = format(
         "mem=%s lanes=%u partitions=%u bus=%u "
         "pipelined=%d triggered=%d page=%u setup=%llu window=%u "

@@ -201,8 +201,8 @@ MultiSoc::startComplex(std::size_t index)
             });
     };
     if (inBytes == 0) {
-        eventq.scheduleFlowIn(
-            0, [this, index] { onComplexInputDone(index); },
+        eventq.schedule(
+            eventq.curTick(), [this, index] { onComplexInputDone(index); },
             "soc.inputDone");
     } else {
         flush->startFlush(inBytes, inBytes, nullptr, kickDma);

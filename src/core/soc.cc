@@ -55,8 +55,7 @@ class Soc::AccelDevice : public IoctlDevice
 };
 
 Soc::Soc(SocConfig config, const Trace &trace_, const Dddg &dddg_)
-    : cfg(std::move(config)), trace(trace_), dddg(dddg_),
-      eventq(cfg.queue)
+    : cfg(std::move(config)), trace(trace_), dddg(dddg_)
 {
     validateSocConfig(cfg);
 
@@ -600,8 +599,9 @@ Soc::beginInputPhase()
         if (outBytes > 0 && cfg.dma.pipelined)
             flush->startInvalidate(outBytes, invalidated);
         if (inputPartsPending == 0) {
-            eventq.scheduleFlowIn(0, [this] { onInputPhaseDone(); },
-                              "soc.inputDone");
+            eventq.schedule(eventq.curTick(),
+                            [this] { onInputPhaseDone(); },
+                            "soc.inputDone");
         }
         return;
     }
@@ -699,9 +699,10 @@ Soc::startAccelerator(std::function<void()> onFinish)
             // Pull register-promoted shared inputs through the cache
             // before compute begins (first invocation only; the batch
             // reuses device-resident data).
-            eventq.scheduleFlowIn(lineCopyLatency(cacheWarmupBytes),
-                              [this] { launchInvocation(); },
-                              "soc.cacheWarmup");
+            eventq.schedule(eventq.curTick() +
+                                lineCopyLatency(cacheWarmupBytes),
+                            [this] { launchInvocation(); },
+                            "soc.cacheWarmup");
             return;
         }
         launchInvocation();
@@ -732,8 +733,9 @@ Soc::onDatapathDone()
         if (cmdQueue && !cmdQueue->empty()) {
             // Drain the command queue back-to-back: the device moves
             // straight to the next descriptor with no CPU round trip.
-            eventq.scheduleFlowIn(0, [this] { launchInvocation(); },
-                              "iface.queueNext");
+            eventq.schedule(eventq.curTick(),
+                            [this] { launchInvocation(); },
+                            "iface.queueNext");
             return;
         }
         // Unqueued batch: complete this ioctl so the driver can issue
@@ -808,8 +810,9 @@ Soc::beginOutputPhase()
     if (cfg.memType == MemInterface::Cache && !cfg.isolated &&
         cacheDrainBytes > 0) {
         // Push register-promoted shared outputs back via the cache.
-        eventq.scheduleFlowIn(lineCopyLatency(cacheDrainBytes),
-                              [this] {
+        eventq.schedule(eventq.curTick() +
+                            lineCopyLatency(cacheDrainBytes),
+                        [this] {
             if (pendingFinish)
                 pendingFinish();
         }, "soc.cacheDrain");

@@ -13,7 +13,6 @@
 #include "fault/fault_config.hh"
 #include "iface/iface_config.hh"
 #include "metrics/metrics_config.hh"
-#include "sim/queue_strategy.hh"
 #include "sim/types.hh"
 #include "trace/tracer.hh"
 
@@ -114,14 +113,6 @@ struct SocConfig
      * mode the accelerator's misses snoop it. */
     unsigned cpuCacheBytes = 32 * 1024;
     bool cpuHoldsDirtyInput = true;
-
-    /** Event-queue pending-set strategy (Genie-Turbo). A host-speed
-     * knob only: every strategy retires events in the identical
-     * (when, seq) order, so it is deliberately excluded from the
-     * canonical config key, the fingerprint and configToOptions() —
-     * records, goldens and sweep caches stay byte-identical across
-     * strategies (tests/test_queue_diff.cc). */
-    QueueStrategy queue = QueueStrategy::Ladder;
 
     /** Event tracing (observability only; never affects results). */
     TraceConfig tracing;

@@ -30,9 +30,7 @@ DriverCpu::run(std::vector<DriverOp> prog, std::function<void()> done)
     waitingOnFlag = false;
     intrPending = false;
     waitingOnIntr = false;
-    eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-        static_cast<DriverCpu *>(c)->step();
-    }, this, 0, "cpu.step");
+    eventq.schedule(eventq.curTick(), stepEvent, this, 0, "cpu.step");
 }
 
 void
@@ -51,10 +49,8 @@ DriverCpu::signalFlag()
             eventq.curTick() - spinStart + params.spinNoticeLatency);
         // The flag was consumed by the pending SpinWait.
         flagSet = false;
-        eventq.scheduleFlowRawIn(params.spinNoticeLatency,
-                                 [](void *c, std::uint64_t) {
-            static_cast<DriverCpu *>(c)->step();
-        }, this, 0, "cpu.step");
+        eventq.schedule(eventq.curTick() + params.spinNoticeLatency,
+                        stepEvent, this, 0, "cpu.step");
     }
 }
 
@@ -68,10 +64,14 @@ DriverCpu::raiseInterrupt()
         // wakeup latency was already charged by the InterruptLine,
         // and a sleeping CPU burns no spin ticks.
         intrPending = false;
-        eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-        static_cast<DriverCpu *>(c)->step();
-    }, this, 0, "cpu.step");
+        eventq.schedule(eventq.curTick(), stepEvent, this, 0, "cpu.step");
     }
+}
+
+void
+DriverCpu::stepEvent(void *self, std::uint64_t)
+{
+    static_cast<DriverCpu *>(self)->step();
 }
 
 void
@@ -99,15 +99,13 @@ DriverCpu::step()
         flushEngine.startInvalidate(op.bytes, next);
         break;
       case DriverOp::Kind::Compute:
-        scheduleCyclesRaw(op.cycles, [](void *c, std::uint64_t) {
-            static_cast<DriverCpu *>(c)->step();
-        }, this, 0, "cpu.compute");
+        scheduleCycles(op.cycles, stepEvent, this, 0, "cpu.compute");
         break;
       case DriverOp::Kind::Ioctl: {
         std::uint32_t command = op.command;
         ++statIoctls;
-        scheduleCyclesRaw(params.ioctlCycles,
-                          [](void *c, std::uint64_t cmd) {
+        scheduleCycles(params.ioctlCycles,
+                       [](void *c, std::uint64_t cmd) {
             auto *self = static_cast<DriverCpu *>(c);
             auto command = static_cast<std::uint32_t>(cmd);
             // The device runs concurrently with the CPU; the driver
@@ -127,9 +125,7 @@ DriverCpu::step()
       case DriverOp::Kind::SpinWait:
         if (flagSet) {
             flagSet = false;
-            eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-                static_cast<DriverCpu *>(c)->step();
-            }, this, 0, "cpu.step");
+            eventq.schedule(eventq.curTick(), stepEvent, this, 0, "cpu.step");
         } else {
             spinStart = eventq.curTick();
             waitingOnFlag = true;
@@ -138,25 +134,18 @@ DriverCpu::step()
       case DriverOp::Kind::IntrWait:
         if (intrPending) {
             intrPending = false;
-            eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-                static_cast<DriverCpu *>(c)->step();
-            }, this, 0, "cpu.step");
+            eventq.schedule(eventq.curTick(), stepEvent, this, 0, "cpu.step");
         } else {
             waitingOnIntr = true;
         }
         break;
       case DriverOp::Kind::Mfence:
-        scheduleCyclesRaw(params.mfenceCycles,
-                          [](void *c, std::uint64_t) {
-            static_cast<DriverCpu *>(c)->step();
-        }, this, 0, "cpu.mfence");
+        scheduleCycles(params.mfenceCycles, stepEvent, this, 0, "cpu.mfence");
         break;
       case DriverOp::Kind::Call:
         if (op.callback)
             op.callback();
-        eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-                static_cast<DriverCpu *>(c)->step();
-            }, this, 0, "cpu.step");
+        eventq.schedule(eventq.curTick(), stepEvent, this, 0, "cpu.step");
         break;
     }
 }

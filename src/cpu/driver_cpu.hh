@@ -113,6 +113,8 @@ class DriverCpu : public SimObject, public Clocked
 
   private:
     void step();
+    /** Raw-dispatch trampoline for the cpu.* events that run step(). */
+    static void stepEvent(void *self, std::uint64_t);
 
     Params params;
     FlushEngine &flushEngine;

@@ -41,7 +41,7 @@ FlushEngine::startFlush(std::uint64_t totalBytes,
                                   divCeil(totalBytes, chunkBytes));
     Tick start = std::max(eventq.curTick(), freeAt);
     if (chunks == 0) {
-        eventq.scheduleFlow(start, [onDone] {
+        eventq.schedule(start, [onDone] {
             if (onDone)
                 onDone();
         }, "flush.done");
@@ -65,7 +65,7 @@ FlushEngine::startFlush(std::uint64_t totalBytes,
         }
         statLinesFlushed += static_cast<double>(lines);
         bool last = c + 1 == chunks;
-        eventq.scheduleFlow(t, [this, c, last, onChunk, onDone] {
+        eventq.schedule(t, [this, c, last, onChunk, onDone] {
             if (onChunk)
                 onChunk(c);
             if (last) {
@@ -87,7 +87,7 @@ FlushEngine::startFlushChunks(
 {
     Tick start = std::max(eventq.curTick(), freeAt);
     if (chunkBytes.empty()) {
-        eventq.scheduleFlow(start, [onDone] {
+        eventq.schedule(start, [onDone] {
             if (onDone)
                 onDone();
         }, "flush.done");
@@ -106,7 +106,7 @@ FlushEngine::startFlushChunks(
         }
         statLinesFlushed += static_cast<double>(lines);
         bool last = c + 1 == chunkBytes.size();
-        eventq.scheduleFlow(t, [this, c, last, onChunk, onDone] {
+        eventq.schedule(t, [this, c, last, onChunk, onDone] {
             if (onChunk)
                 onChunk(c);
             if (last) {
@@ -135,7 +135,7 @@ FlushEngine::startInvalidate(std::uint64_t totalBytes,
     busy.add(start, end);
     freeAt = end;
     active = true;
-    eventq.scheduleFlow(end, [this, onDone] {
+    eventq.schedule(end, [this, onDone] {
         active = false;
         if (onDone)
             onDone();

@@ -38,8 +38,8 @@ Watchdog::arm()
                  name().c_str());
     _armed = true;
     lastProgress = totalProgress();
-    pendingCheck = eventq.scheduleIn(
-        params.interval, [this] { check(); }, "watchdog.check");
+    pendingCheck = eventq.schedule(eventq.curTick() + params.interval,
+                                   [this] { check(); }, "watchdog.check");
 }
 
 void
@@ -105,8 +105,8 @@ Watchdog::check()
     }
 
     lastProgress = progress;
-    pendingCheck = eventq.scheduleIn(
-        params.interval, [this] { check(); }, "watchdog.check");
+    pendingCheck = eventq.schedule(eventq.curTick() + params.interval,
+                                   [this] { check(); }, "watchdog.check");
 }
 
 } // namespace genie

@@ -63,9 +63,9 @@ InterruptLine::attemptDelivery(Tick postTick, unsigned attempt)
             "iface.irqRetry");
         return;
     }
-    eventq.scheduleFlowIn(params.deliveryLatency,
-                      [this, postTick] { deliver(postTick); },
-                      "iface.irqDeliver");
+    eventq.schedule(eventq.curTick() + params.deliveryLatency,
+                    [this, postTick] { deliver(postTick); },
+                    "iface.irqDeliver");
 }
 
 void

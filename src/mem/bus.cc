@@ -100,7 +100,7 @@ SystemBus::scheduleArbitration(Tick when)
         return;
     arbitrationScheduled = true;
     Tick at = std::max(when, std::max(busyUntil, eventq.curTick()));
-    eventq.scheduleFlowRaw(at, [](void *c, std::uint64_t) {
+    eventq.schedule(at, [](void *c, std::uint64_t) {
         auto *self = static_cast<SystemBus *>(c);
         self->arbitrationScheduled = false;
         self->arbitrate();
@@ -155,8 +155,7 @@ SystemBus::arbitrate()
     if (cmdCarriesData(qp.pkt.cmd))
         statDataBytes += qp.pkt.size;
 
-    eventq.scheduleFlow(done, [this, qp] { deliver(qp); },
-                        "bus.deliver");
+    eventq.schedule(done, [this, qp] { deliver(qp); }, "bus.deliver");
 
     // Let the next packet arbitrate once this transfer is done.
     bool more = !respQueue.empty();
@@ -206,9 +205,9 @@ SystemBus::deliver(const QueuedPacket &qp)
         Packet resp = pkt.makeResponse();
         resp.cacheToCache = true;
         resp.sharerPresent = true;
-        eventq.scheduleFlowIn(snoop.supplyLatency,
-                          [this, resp] { sendResponse(resp); },
-                          "bus.snoopSupply");
+        eventq.schedule(eventq.curTick() + snoop.supplyLatency,
+                        [this, resp] { sendResponse(resp); },
+                        "bus.snoopSupply");
         return;
     }
 

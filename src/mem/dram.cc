@@ -59,7 +59,7 @@ DramCtrl::kick(Tick when)
         return; // an earlier wakeup is already pending
     pendingKickAt = when;
     // Raw dispatch: the wakeup tick packs into the payload word.
-    eventq.scheduleFlowRaw(when, [](void *c, std::uint64_t at) {
+    eventq.schedule(when, [](void *c, std::uint64_t at) {
         auto *self = static_cast<DramCtrl *>(c);
         if (self->pendingKickAt == at)
             self->pendingKickAt = maxTick;
@@ -137,8 +137,8 @@ DramCtrl::trySchedule()
             t->complete(TraceCategory::Dram, name(), service, now,
                         now + latency);
         }
-        eventq.scheduleFlowIn(latency, [this, req] { finish(req); },
-                          "dram.finish");
+        eventq.schedule(eventq.curTick() + latency,
+                        [this, req] { finish(req); }, "dram.finish");
     }
 }
 

@@ -119,7 +119,7 @@ AladdinTlb::translate(Addr vaddr, TranslateCallback cb)
     TraceSpanId span = invalidTraceSpan;
     if (Tracer *t = tracerFor(eventq, TraceCategory::Tlb))
         span = t->begin(TraceCategory::Tlb, name(), "miss");
-    eventq.scheduleFlowIn(walkLatency, [this, page, frame, span] {
+    eventq.schedule(eventq.curTick() + walkLatency, [this, page, frame, span] {
         if (Tracer *t = eventq.tracer())
             t->end(span);
         insert(page, frame);

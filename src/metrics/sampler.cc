@@ -40,8 +40,8 @@ MetricsSampler::start()
 {
     GENIE_ASSERT(!started, "sampler started twice");
     started = true;
-    eventq.scheduleIn(params.period, [this] { sample(); },
-                      "metrics.sample");
+    eventq.schedule(eventq.curTick() + params.period,
+                    [this] { sample(); }, "metrics.sample");
 }
 
 void
@@ -63,8 +63,8 @@ MetricsSampler::sample()
     // simulation is still making progress; rescheduling then — and
     // only then — keeps run()'s drain-to-empty termination intact.
     if (!eventq.empty()) {
-        eventq.scheduleIn(params.period, [this] { sample(); },
-                          "metrics.sample");
+        eventq.schedule(eventq.curTick() + params.period,
+                        [this] { sample(); }, "metrics.sample");
     }
 }
 

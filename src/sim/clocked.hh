@@ -88,28 +88,23 @@ class Clocked
     EventQueue &eventQueue() { return eventq; }
     const EventQueue &eventQueue() const { return eventq; }
 
-    /** Schedule @p action on the clock edge @p cycles ahead. @p kind
-     * tags the event for profiler attribution. Flow-aware: Clocked
-     * components are exactly the instrumented ones, so their events
-     * carry the ambient span cursor as a causal origin. */
+    /** Schedule @p action on the clock edge @p cycles ahead, tagged
+     * @p kind; same flow capture as EventQueue::schedule(). */
     EventId
     scheduleCycles(Cycles cycles, std::function<void()> action,
-                   const char *kind = nullptr)
+                   const char *kind)
     {
-        return eventq.scheduleFlow(clockEdge(cycles),
-                                   std::move(action), kind);
+        return eventq.schedule(clockEdge(cycles), std::move(action),
+                               kind);
     }
 
-    /** Raw-dispatch scheduleCycles() (Genie-Turbo fast path): fires
-     * fn(ctx, arg) with no std::function on the path. Same flow
-     * capture and ordering as scheduleCycles(). */
+    /** Raw-dispatch scheduleCycles(): fires fn(ctx, arg) with no
+     * std::function on the path. */
     EventId
-    scheduleCyclesRaw(Cycles cycles, EventQueue::RawEvent fn,
-                      void *ctx, std::uint64_t arg,
-                      const char *kind = nullptr)
+    scheduleCycles(Cycles cycles, EventQueue::RawEvent fn, void *ctx,
+                   std::uint64_t arg, const char *kind)
     {
-        return eventq.scheduleFlowRaw(clockEdge(cycles), fn, ctx, arg,
-                                      kind);
+        return eventq.schedule(clockEdge(cycles), fn, ctx, arg, kind);
     }
 
   protected:

@@ -27,8 +27,9 @@ EventQueue::~EventQueue()
              liveEvents, (unsigned long long)nextTick());
     }
 #endif
-    for (Entry *e = pendingTop(); e != nullptr; e = pendingTop()) {
-        pendingPop();
+    while (!heap.empty()) {
+        Entry *e = heap.top();
+        heap.pop();
         freeEntry(e);
     }
     GENIE_ASSERT(arena.live() == 0,
@@ -43,16 +44,8 @@ EventQueue::freeEntry(const Entry *e) const
     arena.destroy(e->slot);
 }
 
-EventId
-EventQueue::schedule(Tick when, std::function<void()> action,
-                     const char *kind)
-{
-    return scheduleImpl(when, std::move(action), kind, 0);
-}
-
 EventQueue::Entry *
-EventQueue::enqueueEntry(Tick when, const char *kind,
-                         std::uint64_t flowFrom, EventId &idOut)
+EventQueue::enqueueEntry(Tick when, const char *kind, EventId &idOut)
 {
     if (when < _curTick)
         panic("scheduling event in the past (%llu < %llu)",
@@ -62,31 +55,30 @@ EventQueue::enqueueEntry(Tick when, const char *kind,
     e->when = when;
     e->seq = nextSeq++;
     e->kind = kind;
-    e->flowFrom = flowFrom;
+    e->flowFrom = _flowCursor;
     e->slot = slot;
-    pendingPush(e);
+    heap.push(e);
     ++liveEvents;
     idOut = makeId(slot, arena.generation(slot));
     return e;
 }
 
 EventId
-EventQueue::scheduleImpl(Tick when, std::function<void()> action,
-                         const char *kind, std::uint64_t flowFrom)
+EventQueue::schedule(Tick when, std::function<void()> action,
+                     const char *kind)
 {
     EventId id;
-    Entry *e = enqueueEntry(when, kind, flowFrom, id);
+    Entry *e = enqueueEntry(when, kind, id);
     e->action = std::move(action);
     return id;
 }
 
 EventId
-EventQueue::scheduleRawImpl(Tick when, RawEvent fn, void *ctx,
-                            std::uint64_t arg, const char *kind,
-                            std::uint64_t flowFrom)
+EventQueue::schedule(Tick when, RawEvent fn, void *ctx,
+                     std::uint64_t arg, const char *kind)
 {
     EventId id;
-    Entry *e = enqueueEntry(when, kind, flowFrom, id);
+    Entry *e = enqueueEntry(when, kind, id);
     e->fn = fn;
     e->ctx = ctx;
     e->arg = arg;
@@ -111,10 +103,9 @@ EventQueue::deschedule(EventId id)
 void
 EventQueue::skipCancelled() const
 {
-    for (Entry *e = pendingTop();
-         e != nullptr && e->cancelled;
-         e = pendingTop()) {
-        pendingPop();
+    while (!heap.empty() && heap.top()->cancelled) {
+        Entry *e = heap.top();
+        heap.pop();
         freeEntry(e);
     }
 }
@@ -123,18 +114,17 @@ Tick
 EventQueue::nextTick() const
 {
     skipCancelled();
-    Entry *e = pendingTop();
-    return e == nullptr ? maxTick : e->when;
+    return heap.empty() ? maxTick : heap.top()->when;
 }
 
 bool
 EventQueue::step()
 {
     skipCancelled();
-    Entry *e = pendingTop();
-    if (e == nullptr)
+    if (heap.empty())
         return false;
-    pendingPop();
+    Entry *e = heap.top();
+    heap.pop();
     GENIE_ASSERT(e->when >= _curTick, "event order went backwards");
     _curTick = e->when;
     --liveEvents;

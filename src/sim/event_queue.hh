@@ -9,29 +9,28 @@
  *
  * THE ORDERING CONTRACT: events fire in the strict total order
  * (when ascending, then seq ascending), where seq is the schedule
- * order — equal-tick events fire FIFO. Every queue strategy
- * (sim/queue_strategy.hh) implements exactly this order, which is why
- * the strategy knob is purely a host-speed choice: stats, traces and
- * fingerprints are byte-identical across strategies
- * (tests/test_queue_diff.cc).
+ * order — equal-tick events fire FIFO. The pending set is one binary
+ * min-heap (std::priority_queue) over arena entries keyed on exactly
+ * that pair, so stats, traces and fingerprints are a pure function of
+ * the schedule calls.
  *
- * Entry lifetime (Genie-Turbo): entries live in an ObjectArena
- * (sim/event_arena.hh) — bump-allocated blocks with freelist
- * recycling, no per-schedule new/delete. An Entry is destroyed at
- * exactly one of three points: when it fires (step()), when a
- * cancelled entry is lazily reaped at the pending-set head
- * (skipCancelled()), or in the destructor. EventIds encode
- * (slot, generation) into the arena so deschedule() is an O(1) array
- * probe, and allocatedEntries() exposes the arena's live count so
- * tests can prove the accounting closes under any deschedule()/run()
- * interleaving.
+ * Entry lifetime: entries live in an ObjectArena (sim/event_arena.hh)
+ * — bump-allocated blocks with freelist recycling, no per-schedule
+ * new/delete. An Entry is destroyed at exactly one of three points:
+ * when it fires (step()), when a cancelled entry is lazily reaped at
+ * the heap top (skipCancelled()), or in the destructor. EventIds
+ * encode (slot, generation) into the arena so deschedule() is an O(1)
+ * array probe, and allocatedEntries() exposes the arena's live count
+ * so tests can prove the accounting closes under any
+ * deschedule()/run() interleaving.
  *
- * Hot-path dispatch: beside the std::function path, schedule sites
- * can pass a raw function pointer + context word
- * (scheduleFlowRaw()/...). The kernel then skips std::function
- * construction, move and destruction entirely — the devirtualized
- * fast path the hottest kinds (accel.tick, accel.nodeComplete,
- * cpu.step, bus.deliver, dram.finish) use.
+ * One way in: schedule() has two overloads, a std::function action
+ * and a raw function pointer + context word. The raw form skips
+ * std::function construction, move and destruction entirely — the
+ * devirtualized fast path the hottest kinds (accel.tick,
+ * accel.nodeComplete, cpu.step, bus.arbitrate, dram.kick) use. Both
+ * capture the ambient flow cursor, and both take a mandatory kind
+ * tag. Relative delays are written `curTick() + delta`.
  */
 
 #ifndef GENIE_SIM_EVENT_QUEUE_HH
@@ -43,8 +42,6 @@
 #include <vector>
 
 #include "sim/event_arena.hh"
-#include "sim/ladder_queue.hh"
-#include "sim/queue_strategy.hh"
 #include "sim/types.hh"
 
 namespace genie
@@ -89,8 +86,7 @@ class EventProfiler
 
 /**
  * The discrete event queue: deterministic (when, seq) ordering, O(1)
- * cancellation, arena-pooled entries, and a pluggable pending-set
- * strategy (binary heap or self-tuning ladder queue).
+ * cancellation, arena-pooled entries and a binary-heap pending set.
  */
 class EventQueue
 {
@@ -103,99 +99,44 @@ class EventQueue
      */
     using RawEvent = void (*)(void *ctx, std::uint64_t arg);
 
-    explicit EventQueue(QueueStrategy s = QueueStrategy::Ladder)
-        : strat(s)
-    {
-    }
+    EventQueue() = default;
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** The pending-set strategy this queue runs on. */
-    QueueStrategy strategy() const { return strat; }
 
     /** Current simulated time in ticks. */
     Tick curTick() const { return _curTick; }
 
     /**
      * Schedule @p action to run at absolute time @p when. @p kind is
-     * an optional static-string tag ("bus.deliver", "dram.tick", ...)
-     * used by the attached EventProfiler to attribute host time per
-     * component/event kind; untagged events profile as "(untagged)".
-     * The string is not copied — pass a literal or a string that
-     * outlives the event.
+     * a static-string tag ("bus.deliver", "dram.tick", ...) naming
+     * the owning component; the attached EventProfiler attributes
+     * host time per kind, and null profiles as "(untagged)". The
+     * string is not copied — pass a literal or a string that outlives
+     * the event.
+     *
+     * The event captures the ambient flow cursor — the id of the span
+     * most recently recorded in the currently executing event — as
+     * its causal origin. When it fires, the origin becomes the pending
+     * flow source, and the first span the action records closes a
+     * flowFrom edge back to it (trace/tracer.hh). With tracing
+     * disabled the cursor is permanently 0; recording is strictly
+     * passive either way — traced results stay byte-identical to
+     * untraced.
      * @return a handle usable with deschedule().
      */
     EventId schedule(Tick when, std::function<void()> action,
-                     const char *kind = nullptr);
-
-    /** Schedule @p action @p delta ticks in the future. */
-    EventId
-    scheduleIn(Tick delta, std::function<void()> action,
-               const char *kind = nullptr)
-    {
-        return schedule(_curTick + delta, std::move(action), kind);
-    }
+                     const char *kind);
 
     /**
-     * Flow-aware variant of schedule() (Genie-Scope): the event
-     * additionally captures the ambient flow cursor — the id of the
-     * span most recently recorded in the currently executing event —
-     * as its causal origin. When the event fires, the origin becomes
-     * the pending flow source, and the first span the fired action
-     * records closes a flowFrom edge back to it (trace/tracer.hh).
-     * With tracing disabled the cursor is permanently 0 and this is
-     * schedule() plus one integer copy; recording is strictly
-     * passive either way — traced results stay byte-identical to
-     * untraced.
+     * Raw-dispatch schedule(): @p fn fires as fn(ctx, arg) with no
+     * std::function anywhere on the path. Same ordering,
+     * cancellation, flow capture and profiling as the std::function
+     * overload — a site may be converted freely without changing
+     * results.
      */
-    EventId
-    scheduleFlow(Tick when, std::function<void()> action,
-                 const char *kind = nullptr)
-    {
-        return scheduleImpl(when, std::move(action), kind,
-                            _flowCursor);
-    }
-
-    /** Flow-aware variant of scheduleIn(). */
-    EventId
-    scheduleFlowIn(Tick delta, std::function<void()> action,
-                   const char *kind = nullptr)
-    {
-        return scheduleImpl(_curTick + delta, std::move(action), kind,
-                            _flowCursor);
-    }
-
-    /**
-     * Raw-dispatch schedule (Genie-Turbo fast path): @p fn fires as
-     * fn(ctx, arg) with no std::function anywhere on the path. Flow
-     * semantics match scheduleFlow(). Same ordering, cancellation and
-     * profiling behavior as the std::function path — a site may be
-     * converted freely without changing results.
-     */
-    EventId
-    scheduleFlowRaw(Tick when, RawEvent fn, void *ctx,
-                    std::uint64_t arg, const char *kind = nullptr)
-    {
-        return scheduleRawImpl(when, fn, ctx, arg, kind, _flowCursor);
-    }
-
-    /** Raw-dispatch scheduleFlowIn(). */
-    EventId
-    scheduleFlowRawIn(Tick delta, RawEvent fn, void *ctx,
-                      std::uint64_t arg, const char *kind = nullptr)
-    {
-        return scheduleRawImpl(_curTick + delta, fn, ctx, arg, kind,
-                               _flowCursor);
-    }
-
-    /** Raw-dispatch schedule() (no flow capture). */
-    EventId
-    scheduleRaw(Tick when, RawEvent fn, void *ctx, std::uint64_t arg,
-                const char *kind = nullptr)
-    {
-        return scheduleRawImpl(when, fn, ctx, arg, kind, 0);
-    }
+    EventId schedule(Tick when, RawEvent fn, void *ctx,
+                     std::uint64_t arg, const char *kind);
 
     /** Cancel a previously scheduled event. Safe on fired events. */
     void deschedule(EventId id);
@@ -293,9 +234,9 @@ class EventQueue
     // flowFrom, consumed by the first span the action records). Both
     // are written only by the attached Tracer and by step(); they are
     // observability state, so the setters are const like the lazily
-    // reaped pending set.
+    // reaped heap.
 
-    /** Span id the next scheduleFlow() call records as its origin. */
+    /** Span id the next schedule() call records as its origin. */
     std::uint64_t flowCursor() const { return _flowCursor; }
 
     /** Advance the cursor: @p spanId was just recorded in the
@@ -323,7 +264,7 @@ class EventQueue
   private:
     /**
      * One pending event. Layout is hot-path packed: the ordering key
-     * (when, seq) leads so strategy comparisons touch the first cache
+     * (when, seq) leads so heap comparisons touch the first cache
      * line; the 32-byte std::function tail is only visited on the
      * non-raw dispatch path.
      */
@@ -335,23 +276,17 @@ class EventQueue
         void *ctx = nullptr;
         std::uint64_t arg = 0;
         const char *kind = nullptr; ///< profiler attribution tag
-        /** Causal origin span captured by scheduleFlow(); 0 = none. */
+        /** Causal origin span captured by schedule(); 0 = none. */
         std::uint64_t flowFrom = 0;
         std::uint32_t slot = 0; ///< arena slot owning this entry
         bool cancelled = false;
         std::function<void()> action; ///< empty on the raw path
     };
 
-    EventId scheduleImpl(Tick when, std::function<void()> action,
-                         const char *kind, std::uint64_t flowFrom);
-    EventId scheduleRawImpl(Tick when, RawEvent fn, void *ctx,
-                            std::uint64_t arg, const char *kind,
-                            std::uint64_t flowFrom);
-
-    /** Allocate + enqueue a blank entry keyed (when, nextSeq) and
-     * mint its (slot, generation) EventId. */
-    Entry *enqueueEntry(Tick when, const char *kind,
-                        std::uint64_t flowFrom, EventId &idOut);
+    /** Allocate + enqueue a blank entry keyed (when, nextSeq) with
+     * the current flow cursor and mint its (slot, generation)
+     * EventId. */
+    Entry *enqueueEntry(Tick when, const char *kind, EventId &idOut);
 
     struct EntryCompare
     {
@@ -371,45 +306,12 @@ class EventQueue
         return (EventId(slot + 1) << 32) | EventId(gen);
     }
 
-    // ---- Strategy seam: the pending set ----
-    // Exactly one of `heap` / `ladder` is in use, chosen at
-    // construction; both retire entries in identical (when, seq)
-    // order. Mutable alongside the arena: lazy reaping of cancelled
-    // entries happens from const queries (nextTick).
-
-    void
-    pendingPush(Entry *e) const
-    {
-        if (strat == QueueStrategy::Ladder)
-            ladder.push(e);
-        else
-            heap.push(e);
-    }
-
-    Entry *
-    pendingTop() const
-    {
-        if (strat == QueueStrategy::Ladder)
-            return ladder.top();
-        return heap.empty() ? nullptr : heap.top();
-    }
-
-    void
-    pendingPop() const
-    {
-        if (strat == QueueStrategy::Ladder)
-            ladder.pop();
-        else
-            heap.pop();
-    }
-
-    /** Pop cancelled entries off the head of the pending set. */
+    /** Pop cancelled entries off the top of the heap. */
     void skipCancelled() const;
 
     /** Destroy @p e's arena slot, keeping the live count honest. */
     void freeEntry(const Entry *e) const;
 
-    QueueStrategy strat;
     Tick _curTick = 0;
     Tracer *_tracer = nullptr;
     StatRegistry *_statRegistry = nullptr;
@@ -423,13 +325,13 @@ class EventQueue
     mutable std::uint64_t _flowCursor = 0;
     mutable std::uint64_t _pendingOrigin = 0;
 
-    // Entry storage (see event_arena.hh): the pending structures hold
-    // arena-owned pointers; cancellation marks the entry and the head
-    // scan lazily destroys it.
+    // Entry storage (see event_arena.hh): the heap holds arena-owned
+    // pointers; cancellation marks the entry and the top scan lazily
+    // destroys it. Mutable: lazy reaping happens from const queries
+    // (nextTick).
     mutable ObjectArena<Entry> arena;
     mutable std::priority_queue<Entry *, std::vector<Entry *>,
                                 EntryCompare> heap;
-    mutable LadderQueue<Entry> ladder;
 };
 
 } // namespace genie

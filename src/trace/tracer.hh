@@ -111,11 +111,11 @@ constexpr TraceSpanId invalidTraceSpan = 0;
 
 /**
  * One causal edge between two recorded spans (Genie-Scope): the
- * component that recorded span `from` scheduled — via the flow-aware
- * scheduleFlow()/scheduleFlowIn()/scheduleCycles() helpers — the
- * event in which span `to` was recorded. Since `from` is always
- * recorded before `to`, from < to and the flow set forms a DAG over
- * span ids by construction.
+ * component that recorded span `from` scheduled the event in which
+ * span `to` was recorded (EventQueue::schedule() captures the flow
+ * cursor on every call). Since `from` is always recorded before `to`,
+ * from < to and the flow set forms a DAG over span ids by
+ * construction.
  */
 struct FlowLink GENIE_THREAD_LOCAL_OK
 {

@@ -61,8 +61,9 @@ TEST_F(DmaFixture, BeatsArriveInOrder)
         DmaEngine::Direction::MemToAccel,
         {{0, 0x1000, 0, 1024}},
         [&](int, Addr off, unsigned) {
-            if (!first)
+            if (!first) {
                 EXPECT_GT(off, lastOffset);
+            }
             lastOffset = off;
             first = false;
         },
@@ -335,7 +336,8 @@ TEST_F(CpuFixture, SpinWaitWaitsForLateFlag)
         void
         start(std::function<void()> onFinish) override
         {
-            eq.scheduleIn(5 * tickPerUs, std::move(onFinish));
+            eq.schedule(eq.curTick() + 5 * tickPerUs, std::move(onFinish),
+                        "test.accel");
         }
         EventQueue &eq;
     };
@@ -445,7 +447,8 @@ TEST_F(CpuFixture, SpinTicksAccountingIsExact)
         void
         start(std::function<void()> onFinish) override
         {
-            eq.scheduleIn(5 * tickPerUs, std::move(onFinish));
+            eq.schedule(eq.curTick() + 5 * tickPerUs, std::move(onFinish),
+                        "test.accel");
         }
         EventQueue &eq;
     };
@@ -486,7 +489,8 @@ TEST_F(CpuFixture, IntrWaitSleepsWithoutSpinning)
     // Route completions into a fake interrupt line that delivers
     // 2 us after the post.
     cpu.setCompletionSink([this] {
-        eq.scheduleIn(2 * tickPerUs, [this] { cpu.raiseInterrupt(); });
+        eq.schedule(eq.curTick() + 2 * tickPerUs,
+                    [this] { cpu.raiseInterrupt(); }, "test.irq");
     });
 
     bool done = false;

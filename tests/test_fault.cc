@@ -464,7 +464,8 @@ TEST(FaultTlb, WalkTimeoutsAddFullWalkLatencies)
 void
 schedulePoll(EventQueue &eq)
 {
-    eq.scheduleIn(period, [&eq] { schedulePoll(eq); }, "test.poll");
+    eq.schedule(eq.curTick() + period, [&eq] { schedulePoll(eq); },
+                "test.poll");
 }
 
 TEST(WatchdogTest, RequiresNonzeroInterval)
@@ -546,9 +547,9 @@ TEST(WatchdogTest, NoFalsePositiveWhileProgressing)
             wd.disarm();
             return;
         }
-        eq.scheduleIn(period, work, "test.work");
+        eq.schedule(eq.curTick() + period, work, "test.work");
     };
-    eq.scheduleIn(period, work, "test.work");
+    eq.schedule(eq.curTick() + period, work, "test.work");
 
     wd.arm();
     eq.run(); // must terminate without throwing

@@ -382,7 +382,7 @@ TEST_F(CacheFixture, PortLimitResetsEachCycle)
     EXPECT_EQ(o1.reject, Cache::Reject::None);
     EXPECT_EQ(o2.reject, Cache::Reject::Ports);
     // Advance one cycle: the port budget replenishes.
-    eq->schedule(busPeriod, [] {});
+    eq->schedule(busPeriod, [] {}, "test.event");
     while (eq->curTick() < busPeriod)
         eq->step();
     EXPECT_TRUE(cache->portAvailable());
@@ -575,7 +575,7 @@ TEST(Scratchpad, PartitionPortsLimitPerCycleAccesses)
     EXPECT_DOUBLE_EQ(spad.conflicts(), 1.0);
 
     // Next cycle the ports are free again.
-    eq.schedule(busPeriod, [] {});
+    eq.schedule(busPeriod, [] {}, "test.event");
     while (eq.curTick() < busPeriod)
         eq.step();
     EXPECT_TRUE(spad.tryAccess(id, 8, false));

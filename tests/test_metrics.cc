@@ -227,7 +227,7 @@ TEST(Sampler, SnapshotsEveryPeriodWithCurrentValues)
     // Increments at ticks 5, 15, 25 interleave with samples at
     // 10, 20, 30.
     for (Tick t : {Tick(5), Tick(15), Tick(25)})
-        rig.eq.schedule(t, [&rig] { ++rig.a; });
+        rig.eq.schedule(t, [&rig] { ++rig.a; }, "test.event");
     rig.eq.run();
 
     ASSERT_EQ(sampler.numSamples(), 3u);
@@ -256,7 +256,7 @@ TEST(Sampler, RingKeepsOnlyTheMostRecentSnapshots)
     // Keepalive events at every tick keep the sampler rescheduling
     // through tick 10.
     for (Tick t = 1; t <= 10; ++t)
-        rig.eq.schedule(t, [&rig] { ++rig.a; });
+        rig.eq.schedule(t, [&rig] { ++rig.a; }, "test.event");
     rig.eq.run();
 
     EXPECT_EQ(sampler.samplesTaken(), 10u);
@@ -384,8 +384,8 @@ struct SampledRig : SamplerRig
     {
         sampler.track("g.a");
         sampler.start();
-        eq.schedule(5, [this] { ++a; });
-        eq.schedule(15, [this] { ++a; });
+        eq.schedule(5, [this] { ++a; }, "test.event");
+        eq.schedule(15, [this] { ++a; }, "test.event");
         eq.run();
     }
 };
@@ -463,7 +463,7 @@ TEST(Profiler, AttributionSumsToTotals)
         eq.schedule(t, burn, "kind.a");
     for (Tick t = 4; t <= 5; ++t)
         eq.schedule(t, burn, "kind.b");
-    eq.schedule(6, burn); // untagged
+    eq.schedule(6, burn, nullptr); // untagged
     eq.run();
 
     EXPECT_EQ(profiler.totalEvents(), 6u);

@@ -13,6 +13,7 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
+#include "trace/tracer.hh"
 
 namespace genie
 {
@@ -32,9 +33,9 @@ TEST(EventQueue, ExecutesInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    eq.schedule(30, [&] { order.push_back(3); }, "test.event");
+    eq.schedule(10, [&] { order.push_back(1); }, "test.event");
+    eq.schedule(20, [&] { order.push_back(2); }, "test.event");
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 30u);
@@ -45,7 +46,7 @@ TEST(EventQueue, FifoOrderForEqualTicks)
     EventQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
-        eq.schedule(5, [&order, i] { order.push_back(i); });
+        eq.schedule(5, [&order, i] { order.push_back(i); }, "test.event");
     eq.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -58,9 +59,9 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
     std::function<void()> chain = [&] {
         ++fired;
         if (fired < 5)
-            eq.scheduleIn(10, chain);
+            eq.schedule(eq.curTick() + 10, chain, "test.chain");
     };
-    eq.scheduleIn(10, chain);
+    eq.schedule(10, chain, "test.chain");
     eq.run();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(eq.curTick(), 50u);
@@ -70,7 +71,7 @@ TEST(EventQueue, DescheduleCancelsEvent)
 {
     EventQueue eq;
     bool ran = false;
-    EventId id = eq.schedule(10, [&] { ran = true; });
+    EventId id = eq.schedule(10, [&] { ran = true; }, "test.event");
     eq.deschedule(id);
     eq.run();
     EXPECT_FALSE(ran);
@@ -80,7 +81,7 @@ TEST(EventQueue, DescheduleCancelsEvent)
 TEST(EventQueue, DescheduleIsIdempotent)
 {
     EventQueue eq;
-    EventId id = eq.schedule(10, [] {});
+    EventId id = eq.schedule(10, [] {}, "test.event");
     eq.deschedule(id);
     eq.deschedule(id); // no crash, no effect
     eq.run();
@@ -91,9 +92,9 @@ TEST(EventQueue, RunUntilStopsAtBoundary)
 {
     EventQueue eq;
     int count = 0;
-    eq.schedule(10, [&] { ++count; });
-    eq.schedule(20, [&] { ++count; });
-    eq.schedule(30, [&] { ++count; });
+    eq.schedule(10, [&] { ++count; }, "test.event");
+    eq.schedule(20, [&] { ++count; }, "test.event");
+    eq.schedule(30, [&] { ++count; }, "test.event");
     eq.run(20);
     EXPECT_EQ(count, 2);
     EXPECT_EQ(eq.curTick(), 20u);
@@ -105,9 +106,41 @@ TEST(EventQueue, CountsExecutedEvents)
 {
     EventQueue eq;
     for (int i = 0; i < 17; ++i)
-        eq.schedule(static_cast<Tick>(i), [] {});
+        eq.schedule(static_cast<Tick>(i), [] {}, "test.event");
     eq.run();
     EXPECT_EQ(eq.numExecuted(), 17u);
+}
+
+/** Records the pending flow origin each probe event fires with. */
+struct OriginProbe
+{
+    EventQueue eq;
+    std::vector<std::uint64_t> seen;
+
+    void note() { seen.push_back(eq.pendingFlowOrigin()); }
+
+    static void
+    rawNote(void *c, std::uint64_t)
+    {
+        static_cast<OriginProbe *>(c)->note();
+    }
+};
+
+TEST(EventQueue, BothOverloadsCaptureTheFlowCursor)
+{
+    // The queue threads the cursor into fired events only while a
+    // Tracer is attached.
+    OriginProbe p;
+    Tracer tracer(p.eq);
+    p.eq.setTracer(&tracer);
+    p.eq.schedule(10, [&p] {
+        p.eq.setFlowCursor(7);
+        p.eq.schedule(20, [&p] { p.note(); }, "test.fn");
+        p.eq.setFlowCursor(9);
+        p.eq.schedule(30, &OriginProbe::rawNote, &p, 0, "test.raw");
+    }, "test.parent");
+    p.eq.run();
+    EXPECT_EQ(p.seen, (std::vector<std::uint64_t>{7, 9}));
 }
 
 TEST(Clocked, CycleTickConversions)
@@ -128,7 +161,7 @@ TEST(Clocked, ClockEdgeAlignment)
     EXPECT_EQ(c.clockEdge(0), 0u);
     EXPECT_EQ(c.clockEdge(2), 20000u);
     // Advance to an off-edge tick.
-    eq.schedule(10500, [] {});
+    eq.schedule(10500, [] {}, "test.event");
     eq.run();
     EXPECT_EQ(c.clockEdge(0), 20000u);
     EXPECT_EQ(c.clockEdge(1), 30000u);
@@ -335,7 +368,7 @@ TEST(EventQueueEdge, DescheduleOfAlreadyFiredIdIsNoOp)
 {
     EventQueue eq;
     int fired = 0;
-    EventId id = eq.schedule(5, [&] { ++fired; });
+    EventId id = eq.schedule(5, [&] { ++fired; }, "test.event");
     eq.run();
     EXPECT_EQ(fired, 1);
     eq.deschedule(id); // must not underflow counters or double free
@@ -352,7 +385,7 @@ TEST(EventQueueEdge, DescheduleOwnIdFromInsideActionIsNoOp)
     id = eq.schedule(5, [&] {
         ++fired;
         eq.deschedule(id); // the entry is already retired
-    });
+    }, "test.event");
     eq.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.allocatedEntries(), 0u);
@@ -366,8 +399,8 @@ TEST(EventQueueEdge, ScheduleAtCurTickFromInsideRunningEvent)
         order.push_back(1);
         // Same-tick schedule from inside a running event must fire in
         // this run, after the current event (FIFO at equal ticks).
-        eq.schedule(eq.curTick(), [&] { order.push_back(2); });
-    });
+        eq.schedule(eq.curTick(), [&] { order.push_back(2); }, "test.event");
+    }, "test.event");
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_EQ(eq.curTick(), 10u);
@@ -377,7 +410,9 @@ TEST(EventQueueEdge, ScheduleAtCurTickFiresEvenAtRunBoundary)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(10, [&] { eq.schedule(10, [&] { ++fired; }); });
+    eq.schedule(10, [&] {
+        eq.schedule(10, [&] { ++fired; }, "test.event");
+    }, "test.event");
     eq.run(10); // boundary tick: events at exactly `until` execute
     EXPECT_EQ(fired, 1);
 }
@@ -388,11 +423,11 @@ TEST(EventQueueEdge, TieBreakIsFifoAcross1000SameTickEvents)
     std::vector<int> order;
     order.reserve(1000);
     for (int i = 0; i < 1000; ++i)
-        eq.schedule(42, [&order, i] { order.push_back(i); });
+        eq.schedule(42, [&order, i] { order.push_back(i); }, "test.event");
     // Interleave some earlier and later events so heap churn cannot
     // perturb the same-tick sequence.
-    eq.schedule(41, [] {});
-    eq.schedule(43, [] {});
+    eq.schedule(41, [] {}, "test.event");
+    eq.schedule(43, [] {}, "test.event");
     eq.run();
     ASSERT_EQ(order.size(), 1000u);
     for (int i = 0; i < 1000; ++i)
@@ -406,7 +441,7 @@ TEST(EventQueueEdge, EntryAccountingClosesUnderDescheduleRunInterleaving)
     for (int round = 0; round < 10; ++round) {
         for (int i = 0; i < 20; ++i) {
             Tick when = static_cast<Tick>(round * 100 + i);
-            ids.push_back(eq.schedule(when, [] {}));
+            ids.push_back(eq.schedule(when, [] {}, "test.event"));
         }
         // Cancel every third event, including some already fired.
         for (std::size_t i = 0; i < ids.size(); i += 3)
@@ -431,7 +466,7 @@ TEST(EventQueueEdge, DestructorFreesCancelledAndPendingEntries)
     EventQueue eq;
     std::vector<EventId> ids;
     for (int i = 0; i < 50; ++i)
-        ids.push_back(eq.schedule(static_cast<Tick>(i), [] {}));
+        ids.push_back(eq.schedule(static_cast<Tick>(i), [] {}, "test.event"));
     for (std::size_t i = 0; i < ids.size(); i += 2)
         eq.deschedule(ids[i]);
     eq.run(10);
@@ -443,7 +478,7 @@ TEST(EventQueueEdgeDeath, CheckDrainedPanicsOnLiveEvents)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EventQueue eq;
-    eq.schedule(5, [] {});
+    eq.schedule(5, [] {}, "test.event");
     EXPECT_DEATH(eq.checkDrained(), "not drained");
 }
 
@@ -451,9 +486,9 @@ TEST(EventQueueEdgeDeath, SchedulingInThePastPanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EventQueue eq;
-    eq.schedule(10, [] {});
+    eq.schedule(10, [] {}, "test.event");
     eq.run();
-    EXPECT_DEATH(eq.schedule(5, [] {}), "in the past");
+    EXPECT_DEATH(eq.schedule(5, [] {}, "test.event"), "in the past");
 }
 
 } // namespace

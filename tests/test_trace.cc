@@ -71,11 +71,11 @@ TEST(TracerUnit, SpansRecordIntervalsAndDurations)
     TraceSpanId s = invalidTraceSpan;
     eq.schedule(100, [&] {
         s = tracer.begin(TraceCategory::Dma, "dma0", "load");
-    });
-    eq.schedule(300, [&] { tracer.end(s); });
+    }, "test.trace");
+    eq.schedule(300, [&] { tracer.end(s); }, "test.trace");
     eq.schedule(500, [&] {
         tracer.instant(TraceCategory::Spad, "spad0", "conflict");
-    });
+    }, "test.trace");
     eq.run();
 
     tracer.complete(TraceCategory::Dma, "dma0", "store", 400, 450);

@@ -256,7 +256,7 @@ TEST(LintEventAlloc, FlagsManualAllocationInsideTheEventKernel)
         lintSnippet("src/sim/event_queue.cc", "free(p);\n"),
         "event-alloc"));
     EXPECT_TRUE(hasRule(
-        lintSnippet("src/sim/ladder_queue.hh",
+        lintSnippet("src/sim/event_queue.hh",
                     "void *operator new(std::size_t n);\n"),
         "event-alloc"));
 }
@@ -694,12 +694,12 @@ TEST(LintGuardedBy, OutOfLineMethodsAreInScope)
 
 TEST(LintEventAffinity, KindTaggedScheduleSitesAreWhitelisted)
 {
-    // The tagged call keeps its third-argument comma even after
-    // string stripping, and it licenses deschedule in the same TU.
+    // A schedule() call licenses deschedule in the same TU.
     const char *code =
         "namespace genie {\n"
         "void Watchdog::arm() {\n"
-        "    eventQueue.scheduleIn(period, check, \"watchdog.check\");\n"
+        "    eventQueue.schedule(eventQueue.curTick() + period, check,\n"
+        "                        \"watchdog.check\");\n"
         "    eventQueue.deschedule(pending);\n"
         "}\n"
         "} // namespace genie\n";
@@ -708,21 +708,18 @@ TEST(LintEventAffinity, KindTaggedScheduleSitesAreWhitelisted)
     EXPECT_TRUE(fs.empty()) << (fs.empty() ? "" : fs[0].message);
 }
 
-TEST(LintEventAffinity, FlagsUntaggedScheduleAndOrphanDeschedule)
+TEST(LintEventAffinity, FlagsOrphanDeschedule)
 {
+    // Cancelling without any schedule() call in the TU means the
+    // component is cancelling an event some other component owns.
     auto fs = findingsFor(
-        {{"src/accel/unit.cc",
-          "namespace genie {\n"
-          "void Unit::go() { eq.schedule(when, action); }\n"
-          "} // namespace genie\n"},
-         {"src/accel/other.cc",
+        {{"src/accel/other.cc",
           "namespace genie {\n"
           "void Other::halt() { eq.deschedule(evt); }\n"
           "} // namespace genie\n"}},
         "event-affinity");
-    ASSERT_EQ(fs.size(), 2u);
+    ASSERT_EQ(fs.size(), 1u);
     EXPECT_NE(fs[0].message.find("deschedule"), std::string::npos);
-    EXPECT_NE(fs[1].message.find("un-tagged"), std::string::npos);
 }
 
 TEST(LintEventAffinity, RendezvousSettersNeedAnOwningContext)
@@ -809,94 +806,6 @@ TEST(LintEventAffinity, BracketedRunAndSetterDeclarationAreClean)
                              {"src/sim/event_queue.hh", declaration}},
                             "event-affinity")
                     .empty());
-}
-
-TEST(LintEventAffinity, FlowVariantsNeedTagsAndLicenseDeschedule)
-{
-    // scheduleFlow/scheduleFlowIn are schedule sites like any other:
-    // untagged ones are flagged, tagged ones license deschedule.
-    auto bad = findingsFor(
-        {{"src/mem/port.cc",
-          "namespace genie {\n"
-          "void Port::push() { eq.scheduleFlow(when, action); }\n"
-          "} // namespace genie\n"}},
-        "event-affinity");
-    ASSERT_EQ(bad.size(), 1u);
-    EXPECT_NE(bad[0].message.find("un-tagged"), std::string::npos);
-
-    const char *good =
-        "namespace genie {\n"
-        "void Port::push() {\n"
-        "    eq.scheduleFlowIn(delay, action, \"mem.port\");\n"
-        "    eq.deschedule(pending);\n"
-        "}\n"
-        "} // namespace genie\n";
-    EXPECT_TRUE(
-        findingsFor({{"src/mem/port.cc", good}}, "event-affinity")
-            .empty());
-}
-
-TEST(LintFlowSite, TracedTuMustUseFlowScheduling)
-{
-    // A TU that records spans (calls tracerFor) dropping back to a
-    // plain schedule loses the causal edge; the flow variants (and
-    // Clocked::scheduleCycles) are the sanctioned paths.
-    const char *offender =
-        "namespace genie {\n"
-        "void Unit::go() {\n"
-        "    auto span = eq.tracerFor(this);\n"
-        "    eq.scheduleIn(delay, action, \"accel.unit\");\n"
-        "}\n"
-        "} // namespace genie\n";
-    auto fs =
-        findingsFor({{"src/accel/unit.cc", offender}}, "flow-site");
-    ASSERT_EQ(fs.size(), 1u);
-    EXPECT_EQ(fs[0].line, 4);
-    EXPECT_NE(fs[0].message.find("scheduleFlow"), std::string::npos);
-
-    const char *fixed =
-        "namespace genie {\n"
-        "void Unit::go() {\n"
-        "    auto span = eq.tracerFor(this);\n"
-        "    eq.scheduleFlowIn(delay, action, \"accel.unit\");\n"
-        "    scheduleCycles(1, tick, \"accel.unit\");\n"
-        "}\n"
-        "} // namespace genie\n";
-    EXPECT_TRUE(
-        findingsFor({{"src/accel/unit.cc", fixed}}, "flow-site")
-            .empty());
-}
-
-TEST(LintFlowSite, UntracedTusAndTheMechanismAreExempt)
-{
-    // No tracerFor: plain scheduling is fine (the event-affinity tag
-    // rule still applies separately).
-    const char *untraced =
-        "namespace genie {\n"
-        "void Watchdog::arm() {\n"
-        "    eq.scheduleIn(period, check, \"fault.watchdog\");\n"
-        "}\n"
-        "} // namespace genie\n";
-    EXPECT_TRUE(
-        findingsFor({{"src/fault/watchdog.cc", untraced}}, "flow-site")
-            .empty());
-
-    // src/sim (the mechanism) and src/trace (the Tracer) are exempt
-    // even when tracerFor appears in the token stream.
-    const char *mechanism =
-        "namespace genie {\n"
-        "void EventQueue::helper() {\n"
-        "    tracerFor(this);\n"
-        "    schedule(when, action, \"sim.helper\");\n"
-        "}\n"
-        "} // namespace genie\n";
-    EXPECT_TRUE(
-        findingsFor({{"src/sim/event_queue.cc", mechanism}},
-                    "flow-site")
-            .empty());
-    EXPECT_TRUE(
-        findingsFor({{"src/trace/tracer.cc", mechanism}}, "flow-site")
-            .empty());
 }
 
 TEST(LintAmbient, FlagsEnvLocaleAndPointerKeyedContainers)

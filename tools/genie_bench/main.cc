@@ -9,7 +9,6 @@
  *
  *   genie_bench --quick                 # CI subset (3 scenarios)
  *   genie_bench --out=BENCH_genie.json  # full set
- *   genie_bench --queue=heap            # pin the queue strategy
  *   genie_bench --quick --baseline=bench/BENCH_baseline.json \
  *               --max-regress=20        # fail if MEPS drops >20%
  *
@@ -18,10 +17,7 @@
  * retired per host second), and the headline simulation metrics
  * (latency, accelerator cycles, energy, EDP, bus utilization). The
  * totals block carries the aggregate MEPS that the CI regression gate
- * tracks against the checked-in baseline, and the queues block holds
- * one MEPS entry per event-queue strategy (Genie-Turbo) — same
- * scenarios, same event counts, host time only differing — so the
- * strategy comparison ships in every bench artifact.
+ * tracks against the checked-in baseline.
  */
 
 #include <algorithm>
@@ -105,13 +101,12 @@ splitOptions(const char *options)
 }
 
 BenchResult
-runScenario(const Scenario &s, QueueStrategy strat)
+runScenario(const Scenario &s)
 {
     auto workload = makeWorkload(s.workload);
     auto out = workload->build();
     Dddg dddg(out.trace);
     SocConfig config = parseConfig(splitOptions(s.options));
-    config.queue = strat;
 
     // The timed run is bare: no profiler, no tracer. The queue's own
     // retired-event counter supplies the event count, so the MEPS
@@ -154,35 +149,6 @@ runScenario(const Scenario &s, QueueStrategy strat)
     return r;
 }
 
-/** Aggregate MEPS for one event-queue strategy across the scenario
- * subset. Event counts are deterministic and identical across
- * strategies; only the host time (and so MEPS) differs. */
-struct QueueAxis
-{
-    QueueStrategy strategy = QueueStrategy::Ladder;
-    double wallMs = 0.0;
-    std::uint64_t events = 0;
-    double meps = 0.0;
-};
-
-/** Bare timed run (no blame pass) for the queue-strategy axis. */
-void
-timedRun(const Scenario &s, QueueStrategy strat, QueueAxis &axis)
-{
-    auto workload = makeWorkload(s.workload);
-    auto out = workload->build();
-    Dddg dddg(out.trace);
-    SocConfig config = parseConfig(splitOptions(s.options));
-    config.queue = strat;
-    Soc soc(config, out.trace, dddg);
-    auto t0 = std::chrono::steady_clock::now();
-    soc.run();
-    auto t1 = std::chrono::steady_clock::now();
-    axis.wallMs +=
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    axis.events += soc.eventQueue().numExecuted();
-}
-
 /** SweepEngine throughput on a reduced Fig. 6 + Fig. 8 DMA space.
  * The two spaces overlap in their all-optimizations points, so the
  * result cache dedupes part of the second sweep — cached > 0 proves
@@ -198,14 +164,13 @@ struct SweepBench
 };
 
 SweepBench
-runSweepBench(QueueStrategy strat)
+runSweepBench()
 {
     auto workload = makeWorkload("stencil-stencil2d")->build();
     Dddg dddg(workload.trace);
     SpaceFilter filter =
         SpaceFilter::parse("lanes=1,4;partitions=1,4");
     SocConfig base;
-    base.queue = strat;
     auto fig6 = filterConfigs(DesignSpace::dmaOptions(base), filter);
     auto fig8dma = filterConfigs(DesignSpace::dma(base), filter);
 
@@ -235,8 +200,7 @@ runSweepBench(QueueStrategy strat)
 
 std::string
 benchJson(const std::vector<BenchResult> &results,
-          const SweepBench &sweep, bool quick,
-          const std::vector<QueueAxis> &queues)
+          const SweepBench &sweep, bool quick)
 {
     std::string j = "{\n  \"schema\": \"genie-bench-1\",\n";
     j += format("  \"quick\": %s,\n", quick ? "true" : "false");
@@ -283,21 +247,6 @@ benchJson(const std::vector<BenchResult> &results,
                 sweep.points, sweep.simulated, sweep.cached,
                 sweep.wallMs, (unsigned long long)sweep.events,
                 sweep.meps);
-    // One entry per queue strategy over the same scenario subset.
-    // Identical event counts across entries witness that the strategy
-    // is a host-speed knob only (tests/test_queue_diff.cc proves the
-    // stronger byte-identity claim); the wall_ms/meps spread is the
-    // measured speedup.
-    j += "  \"queues\": [\n";
-    for (std::size_t i = 0; i < queues.size(); ++i) {
-        const QueueAxis &q = queues[i];
-        j += format("    {\"strategy\": \"%s\", \"wall_ms\": %.3f, "
-                    "\"events\": %llu, \"meps\": %.3f}",
-                    queueStrategyName(q.strategy), q.wallMs,
-                    (unsigned long long)q.events, q.meps);
-        j += i + 1 < queues.size() ? ",\n" : "\n";
-    }
-    j += "  ],\n";
     double totalMeps =
         totalWallMs > 0
             ? static_cast<double>(totalEvents) / (totalWallMs * 1e3)
@@ -335,7 +284,6 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: genie_bench [--quick] [--out=FILE] "
-                 "[--queue=heap|ladder] "
                  "[--baseline=FILE] [--max-regress=PCT]\n");
     return 2;
 }
@@ -349,15 +297,12 @@ main(int argc, char **argv)
     std::string outPath = "BENCH_genie.json";
     std::string baselinePath;
     double maxRegressPct = 20.0;
-    QueueStrategy strat = SocConfig{}.queue;
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
         else if (std::strncmp(argv[i], "--out=", 6) == 0)
             outPath = argv[i] + 6;
-        else if (std::strncmp(argv[i], "--queue=", 8) == 0)
-            strat = parseQueueStrategy(argv[i] + 8);
         else if (std::strncmp(argv[i], "--baseline=", 11) == 0)
             baselinePath = argv[i] + 11;
         else if (std::strncmp(argv[i], "--max-regress=", 14) == 0)
@@ -368,14 +313,13 @@ main(int argc, char **argv)
 
     std::vector<BenchResult> results;
     SweepBench sweep;
-    std::vector<QueueAxis> queues;
     try {
         for (const Scenario &s : scenarios) {
             if (quick && !s.quick)
                 continue;
             std::printf("bench %-20s %-18s %s\n", s.name, s.workload,
                         s.options);
-            BenchResult r = runScenario(s, strat);
+            BenchResult r = runScenario(s);
             std::printf("  wall %8.2f ms, %8llu events, %7.3f MEPS, "
                         "sim %10.2f us\n",
                         r.wallMs, (unsigned long long)r.events,
@@ -389,55 +333,18 @@ main(int argc, char **argv)
         }
         std::printf("bench %-20s reduced fig6+fig8 DMA spaces\n",
                     "sweep-engine");
-        sweep = runSweepBench(strat);
+        sweep = runSweepBench();
         std::printf("  wall %8.2f ms, %8llu events, %7.3f MEPS, "
                     "%zu points (%zu cached)\n",
                     sweep.wallMs, (unsigned long long)sweep.events,
                     sweep.meps, sweep.points, sweep.cached);
 
-        // The queue-strategy axis: the strategy the main loop ran
-        // with is aggregated from those timings; the other strategy
-        // gets one bare timed pass over the same scenario subset.
-        QueueAxis ran;
-        ran.strategy = strat;
-        for (const BenchResult &r : results) {
-            ran.wallMs += r.wallMs;
-            ran.events += r.events;
-        }
-        QueueAxis other;
-        other.strategy = strat == QueueStrategy::Ladder
-                             ? QueueStrategy::Heap
-                             : QueueStrategy::Ladder;
-        std::printf("bench %-20s queue strategy axis\n",
-                    queueStrategyName(other.strategy));
-        for (const Scenario &s : scenarios) {
-            if (quick && !s.quick)
-                continue;
-            timedRun(s, other.strategy, other);
-        }
-        for (QueueAxis *q : {&ran, &other}) {
-            q->meps = q->wallMs > 0
-                          ? static_cast<double>(q->events) /
-                                (q->wallMs * 1e3)
-                          : 0.0;
-        }
-        // Ladder first: stable artifact layout independent of the
-        // strategy the main loop happened to run with.
-        queues = strat == QueueStrategy::Ladder
-                     ? std::vector<QueueAxis>{ran, other}
-                     : std::vector<QueueAxis>{other, ran};
-        for (const QueueAxis &q : queues) {
-            std::printf("  %-6s wall %8.2f ms, %8llu events, "
-                        "%7.3f MEPS\n",
-                        queueStrategyName(q.strategy), q.wallMs,
-                        (unsigned long long)q.events, q.meps);
-        }
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }
 
-    std::string json = benchJson(results, sweep, quick, queues);
+    std::string json = benchJson(results, sweep, quick);
     std::ofstream out(outPath);
     if (!out) {
         std::fprintf(stderr, "error: cannot write %s\n",

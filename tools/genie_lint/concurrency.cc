@@ -231,26 +231,6 @@ isMemberCall(const std::vector<Token> &toks, std::size_t i)
            i + 1 < toks.size() && toks[i + 1].text == "(";
 }
 
-/** Count top-level commas in the call group opening at @p open. */
-int
-topLevelCommas(const std::vector<Token> &toks, std::size_t open)
-{
-    int depth = 0;
-    int commas = 0;
-    for (std::size_t k = open; k < toks.size(); ++k) {
-        const std::string &t = toks[k].text;
-        if (t == "(" || t == "[" || t == "{") {
-            ++depth;
-        } else if (t == ")" || t == "]" || t == "}") {
-            if (--depth == 0)
-                break;
-        } else if (t == "," && depth == 1) {
-            ++commas;
-        }
-    }
-    return commas;
-}
-
 void
 checkEventAffinity(const DeclIndex &index, std::vector<Finding> &out)
 {
@@ -278,36 +258,13 @@ checkEventAffinity(const DeclIndex &index, std::vector<Finding> &out)
         if (startsWith(path, "src/sim/"))
             continue;
 
-        bool hasTaggedSchedule = false;
+        bool hasSchedule = false;
         std::vector<std::size_t> descheduleSites;
 
         for (std::size_t i = 0; i < toks.size(); ++i) {
             const std::string &t = toks[i].text;
-            bool stdSched = t == "schedule" || t == "scheduleIn" ||
-                            t == "scheduleAt" || t == "scheduleFlow" ||
-                            t == "scheduleFlowIn";
-            // Genie-Turbo raw-dispatch variants: (tick, fn, ctx,
-            // arg, kind), so a kind-tagged call has at least five
-            // arguments instead of three.
-            bool rawSched = t == "scheduleFlowRaw" ||
-                            t == "scheduleFlowRawIn" ||
-                            t == "scheduleRaw";
-            if ((stdSched || rawSched) && isMemberCall(toks, i)) {
-                // A kind-tagged call has at least three arguments:
-                // tick, action, kind. (A stripped string-literal kind
-                // leaves its comma behind, so the count survives.)
-                if (topLevelCommas(toks, i + 1) >=
-                    (rawSched ? 4u : 2u)) {
-                    hasTaggedSchedule = true;
-                } else {
-                    out.push_back(
-                        {"event-affinity", path, toks[i].line,
-                         "un-tagged " + t + "() call: every schedule "
-                         "site outside src/sim must pass a kind tag "
-                         "naming the owning component, so the "
-                         "parallel kernel can enforce queue affinity "
-                         "at the sync boundary"});
-                }
+            if (t == "schedule" && isMemberCall(toks, i)) {
+                hasSchedule = true;
             } else if (t == "deschedule" && isMemberCall(toks, i)) {
                 descheduleSites.push_back(i);
             } else {
@@ -350,68 +307,13 @@ checkEventAffinity(const DeclIndex &index, std::vector<Finding> &out)
             }
         }
 
-        if (!hasTaggedSchedule) {
+        if (!hasSchedule) {
             for (std::size_t i : descheduleSites) {
                 out.push_back(
                     {"event-affinity", path, toks[i].line,
                      "deschedule() in a translation unit with no "
-                     "kind-tagged schedule site: a component may only "
-                     "cancel events it scheduled itself (queue "
-                     "affinity)"});
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- //
-// flow-site
-// ---------------------------------------------------------------- //
-
-/**
- * A translation unit that records spans (it calls tracerFor) must
- * schedule follow-on work through the flow-aware variants —
- * scheduleFlow()/scheduleFlowIn()/scheduleCycles() — so the event
- * queue captures each event's causal origin. A plain schedule()
- * inside a traced TU silently drops the flow edge: the span still
- * renders, but critical-path attribution sees a hole and falls back
- * to an inferred hop. src/sim (the mechanism itself) and src/trace
- * (the Tracer) are exempt.
- */
-void
-checkFlowSite(const DeclIndex &index, std::vector<Finding> &out)
-{
-    for (const auto &path : index.filePaths()) {
-        if (!startsWith(path, "src/") ||
-            startsWith(path, "src/sim/") ||
-            startsWith(path, "src/trace/"))
-            continue;
-        const SourceFile *sf = index.file(path);
-        const auto &toks = sf->tokens;
-
-        bool traced = false;
-        for (const auto &tok : toks) {
-            if (tok.text == "tracerFor") {
-                traced = true;
-                break;
-            }
-        }
-        if (!traced)
-            continue;
-
-        for (std::size_t i = 0; i < toks.size(); ++i) {
-            const std::string &t = toks[i].text;
-            if ((t == "schedule" || t == "scheduleIn" ||
-                 t == "scheduleAt" || t == "scheduleRaw") &&
-                isMemberCall(toks, i)) {
-                out.push_back(
-                    {"flow-site", path, toks[i].line,
-                     "plain " + t + "() in a traced translation "
-                     "unit (it calls tracerFor): components that "
-                     "record spans must schedule through "
-                     "scheduleFlow()/scheduleFlowIn()/"
-                     "scheduleCycles() (or their Raw variants) so "
-                     "the causal origin of the event is captured "
-                     "and critical-path attribution stays complete"});
+                     "schedule() call: a component may only cancel "
+                     "events it scheduled itself (queue affinity)"});
             }
         }
     }
@@ -501,7 +403,6 @@ analyzeConcurrency(const DeclIndex &index)
     checkSharedState(index, out);
     checkGuardedBy(index, out);
     checkEventAffinity(index, out);
-    checkFlowSite(index, out);
     checkAmbient(index, out);
     std::stable_sort(out.begin(), out.end(),
                      [](const Finding &a, const Finding &b) {

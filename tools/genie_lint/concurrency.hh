@@ -1,7 +1,7 @@
 /**
  * @file
  * The Genie-Analyze concurrency rule family, running on the cross-TU
- * declaration index (index.hh). Five rules:
+ * declaration index (index.hh). Four rules:
  *
  *  - shared-state: every mutable namespace-scope or function-local
  *    static in src/, and every mutable data member of a type declared
@@ -24,27 +24,17 @@
  *    backstop.
  *
  *  - event-affinity: EventQueue mutation must happen in the owning
- *    queue's context. Every schedule()/scheduleIn()/scheduleFlow()/
- *    scheduleFlowIn() call site in src/ outside src/sim must carry a
- *    kind tag (the third argument) — the kind names the owning
- *    component and registers the site in the affinity whitelist the
- *    parallel kernel will enforce at runtime. deschedule() is allowed
- *    only in a TU that also owns a kind-tagged schedule site (you may
- *    only cancel what you scheduled). Rendezvous-slot setters
+ *    queue's context. deschedule() is allowed only in a TU outside
+ *    src/sim that also has an EventQueue::schedule() member call (you
+ *    may only cancel what you scheduled); the kind tag every schedule
+ *    site names its owning component with is a mandatory parameter,
+ *    so the compiler enforces it. Rendezvous-slot setters
  *    (setTracer/setStatRegistry/setFaultInjector) are allowed in
  *    src/core (the Soc layer owns its queues) or in a function that
  *    locally constructed the Soc — i.e. a single-owner setup phase.
  *    setProfiler is a finding anywhere under src/ (src/sim too): the
  *    per-event profiler belongs to explicit tools, and library code
  *    times run() with two profilerNowNs() reads instead.
- *
- *  - flow-site: a TU that records spans (it calls tracerFor) must
- *    schedule through the flow-aware variants — scheduleFlow()/
- *    scheduleFlowIn()/scheduleCycles() — so the event queue captures
- *    each event's causal origin; a plain schedule() there silently
- *    drops the flow edge and leaves a hole in critical-path
- *    attribution. src/sim (the mechanism) and src/trace (the Tracer)
- *    are exempt.
  *
  *  - ambient-nondeterminism: no reading ambient process state that
  *    varies across hosts or runs: getenv/secure_getenv, setlocale/
