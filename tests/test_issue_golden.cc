@@ -13,11 +13,11 @@
  *    part of the contract, bank-conflict instants included).
  *
  * The cases cover bank conflicts with DMA-triggered and untriggered
- * loads, ready lists longer than the issue window (one lane on a long
- * kernel), the unpipelined divider, perfect memory, cache mode with
- * TLB misses and port/MSHR rejections, private scratchpad arrays in
- * cache mode, the ACP port, a per-array
- * interface override, and a seeded fault campaign.
+ * loads (also with four lanes per partition), ready lists longer than
+ * the issue window (one lane on a long kernel), the unpipelined
+ * divider, perfect memory, cache mode with TLB misses and port/MSHR
+ * rejections, private scratchpad arrays in cache mode, the ACP port, a
+ * per-array interface override, and a seeded fault campaign.
  *
  * Regenerate only for an intentional model change:
  *
@@ -88,6 +88,8 @@ const IssueCase issueCases[] = {
     {"faults", "stencil-stencil2d",
      "mem=dma lanes=4 partitions=4 pipelined=1 triggered=1 "
      "fault_seed=7 fault_dram_read=0.02 fault_dma_beat=0.05"},
+    {"conflicts-l16p4", "stencil-stencil3d",
+     "mem=dma lanes=16 partitions=4 pipelined=1 triggered=1"},
 };
 
 /** gtest prints the case name instead of the struct's bytes. */
