@@ -3,8 +3,8 @@
  * Metrics-subsystem microbenchmarks (google-benchmark): the cost of
  * stat increments, registry lookups, sampler snapshots, profiled
  * versus unprofiled event dispatch, and the exporters. These bound
- * the observability overhead that genie_bench's MEPS number absorbs
- * when sampling or profiling is enabled.
+ * the observability overhead a run pays when sampling or profiling
+ * is enabled.
  */
 
 #include <benchmark/benchmark.h>

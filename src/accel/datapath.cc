@@ -247,9 +247,9 @@ Datapath::scheduleTick()
     Tick at = clockEdge(0);
     if (lastTickAt != maxTick && at <= lastTickAt)
         at = lastTickAt + clockPeriod();
-    // Raw dispatch (Genie-Turbo): the two hottest event kinds in the
-    // tree — accel.tick and accel.nodeComplete — skip std::function
-    // entirely.
+    // Raw dispatch: accel.tick, like accel.nodeComplete, fires at
+    // most once per accelerator cycle, and neither builds a
+    // std::function.
     eventq.schedule(at, [](void *c, std::uint64_t) {
         auto *self = static_cast<Datapath *>(c);
         self->tickScheduled = false;
@@ -265,6 +265,7 @@ Datapath::tick()
     lastTickAt = eventq.curTick();
     issueEdge = clockEdge(0);
     const Cycles now = curCycle();
+    issueCycle = now;
 
     bool anyReadyLeft = false;
     std::uint64_t attempts = 0;
@@ -336,6 +337,28 @@ Datapath::issueLane(unsigned l, Cycles now)
         moveCursor(c, lane.queues[c].head);
     }
 
+    // A bank conflict changes nothing the walk depends on, so the walk
+    // goes on meeting scratchpad entries until one finds a free bank,
+    // or it reaches the end of the window, the oldest unchecked load
+    // (its ready bit may stall the lane) or, in cache mode, an older
+    // cache access (it may spend the memory budget). Such a run of
+    // conflicts is counted in one step. With conflicts traced, the run
+    // also stops at every other open class's head, so no record of
+    // another entry falls between two conflict instants.
+    const unsigned stopClasses =
+        tracerFor(eventq, TraceCategory::Spad) != nullptr
+            ? ~(1u << spadClass)
+            : 1u << unsigned(IssueClass::Cache);
+    auto conflictLimit = [&] {
+        std::uint32_t limit = cutoff + 1;
+        if (lane.uncheckedHead < lane.unchecked.size())
+            limit = std::min(limit, lane.unchecked[lane.uncheckedHead].seq);
+        for (unsigned m = open & stopClasses; m != 0; m &= m - 1)
+            limit = std::min(
+                limit, curSeq[static_cast<unsigned>(std::countr_zero(m))]);
+        return limit;
+    };
+
     // Scratchpad accesses issued behind a bank conflict leave holes
     // in the visited part of the queue; the survivors slide up to the
     // cursor on the way out.
@@ -392,8 +415,12 @@ Datapath::issueLane(unsigned l, Cycles now)
             if (!spad->tryAccessBank(rec.array, rec.bank, rec.isStore)) {
                 // A bank conflict: retried next cycle, and counted
                 // every cycle it recurs.
-                ++statBankConflicts;
-                moveCursor(c, at + 1);
+                const std::size_t run =
+                    conflictRun(q, at + 1, conflictLimit());
+                spad->addConflicts(run);
+                examined += static_cast<unsigned>(run);
+                statBankConflicts += static_cast<double>(1 + run);
+                moveCursor(c, at + 1 + run);
                 continue;
             }
             issueMemCycle(e.node, l);
@@ -433,6 +460,20 @@ Datapath::issueLane(unsigned l, Cycles now)
             break;
     }
     return settle();
+}
+
+std::size_t
+Datapath::conflictRun(const ClassQueue &q, std::size_t from,
+                      std::uint32_t limit) const
+{
+    std::size_t i = from;
+    while (i < q.items.size() && q.items[i].seq < limit) {
+        const NodeIssue &rec = issue[q.items[i].node];
+        if (spad->bankFree(rec.array, rec.bank))
+            break;
+        ++i;
+    }
+    return i - from;
 }
 
 bool
@@ -490,12 +531,34 @@ Datapath::scheduleCompletion(Cycles lat, NodeId n)
     // issue: complete one tick before that edge so dependents can
     // issue on the edge itself (otherwise every dependence level
     // would silently cost an extra cycle).
-    Tick when = issueEdge + cyclesToTicks(lat);
-    GENIE_ASSERT(when > 0, "completion before time begins");
-    eventq.schedule(when - 1, [](void *c, std::uint64_t node) {
-        static_cast<Datapath *>(c)->onNodeComplete(
-            static_cast<NodeId>(node));
-    }, this, n, "accel.nodeComplete");
+    GENIE_ASSERT(lat > 0 && lat < completionSlots,
+                 "latency %llu does not fit the completion ring",
+                 (unsigned long long)lat);
+    const std::size_t slot = (issueCycle + lat) % completionSlots;
+    std::vector<Completion> &due = completionRing[slot];
+    if (due.empty()) {
+        Tick when = issueEdge + cyclesToTicks(lat);
+        eventq.schedule(when - 1, [](void *c, std::uint64_t s) {
+            static_cast<Datapath *>(c)->completeSlot(
+                static_cast<std::size_t>(s));
+        }, this, slot, "accel.nodeComplete");
+    }
+    due.push_back({n, eventq.flowCursor()});
+}
+
+void
+Datapath::completeSlot(std::size_t slot)
+{
+    // Completing a node never issues one, so nothing joins the slot
+    // while it drains.
+    std::vector<Completion> &due = completionRing[slot];
+    for (const Completion &c : due) {
+        // Each completion chains off its own issue, as if it had
+        // fired as an event of its own.
+        eventq.enterFlow(c.flowFrom);
+        onNodeComplete(c.node);
+    }
+    due.clear();
 }
 
 void

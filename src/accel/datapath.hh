@@ -211,6 +211,12 @@ class Datapath : public SimObject, public Clocked
      * ready entries examined. */
     unsigned issueLane(unsigned l, Cycles now);
 
+    /** The number of scratchpad entries of @p q from @p from on, with
+     * seq below @p limit, whose banks have no port left this cycle:
+     * the conflicts the walk would meet before anything changes. */
+    std::size_t conflictRun(const ClassQueue &q, std::size_t from,
+                            std::uint32_t limit) const;
+
     /** Check the ready bit of triggered load @p n, the oldest
      * unchecked one: if set, drop @p n from the unchecked list; if
      * not, stall lane @p l until it fills. @return whether it was
@@ -234,9 +240,14 @@ class Datapath : public SimObject, public Clocked
     /** Hand a cache-mode access to the TLB. */
     void issueCacheAccess(NodeId n, unsigned lane);
 
-    /** Schedule node completion just before the edge @p lat cycles
-     * out, so dependents issue on that edge. */
+    /** Complete @p n just before the edge @p lat cycles out, so
+     * dependents issue on that edge: append it to that edge's ring
+     * slot, scheduling the slot's event if it was empty. */
     void scheduleCompletion(Cycles lat, NodeId n);
+
+    /** The accel.nodeComplete event: complete the nodes of ring slot
+     * @p slot in the order they were issued. */
+    void completeSlot(std::size_t slot);
 
     /** Issue the translated cache access (retries on port/MSHR
      * rejection). */
@@ -291,6 +302,20 @@ class Datapath : public SimObject, public Clocked
     std::size_t completedNodes = 0;
     std::size_t inFlightOps = 0;
 
+    /** An issued node waiting in the completion ring, with the flow
+     * cursor at its issue (its trace span, when tracing). */
+    struct Completion
+    {
+        NodeId node;
+        std::uint64_t flowFrom;
+    };
+    /** Completion ring: slot (edge cycle mod completionSlots) holds
+     * the nodes that complete one tick before that edge, and one
+     * event drains it. Every latency is shorter than the ring, so a
+     * slot never holds two edges. */
+    static constexpr unsigned completionSlots = 16;
+    std::array<std::vector<Completion>, completionSlots> completionRing;
+
     Cycles startCycle = 0;
     Cycles endCycle = 0;
     bool tickScheduled = false;
@@ -299,8 +324,10 @@ class Datapath : public SimObject, public Clocked
      * clock edge (completions arriving mid-cycle wake the next
      * edge), so every lane starts each tick with full budgets. */
     Tick lastTickAt = maxTick;
-    /** The clock edge of the running tick (issue timestamps). */
+    /** The clock edge of the running tick (issue timestamps) and
+     * its cycle. */
     Tick issueEdge = 0;
+    Cycles issueCycle = 0;
 
     IntervalSet busy;
     std::array<std::uint64_t, 6> fuOps{};

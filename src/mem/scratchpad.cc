@@ -79,6 +79,26 @@ Scratchpad::tryAccessBank(int arrayId, unsigned bank, bool isWrite)
     return true;
 }
 
+bool
+Scratchpad::bankFree(int arrayId, unsigned bank) const
+{
+    const ArrayState &st = arrays[static_cast<std::size_t>(arrayId)];
+    // Counters from an earlier cycle are stale: every port is free.
+    if (st.stampTick != eventq.curTick() && st.stamp != curCycle())
+        return true;
+    return st.used[bank] < st.cfg.portsPerPartition;
+}
+
+void
+Scratchpad::addConflicts(std::uint64_t n)
+{
+    statConflicts += static_cast<double>(n);
+    if (Tracer *t = tracerFor(eventq, TraceCategory::Spad)) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            t->instant(TraceCategory::Spad, name(), "conflict");
+    }
+}
+
 std::uint64_t
 Scratchpad::arrayReads(int arrayId) const
 {

@@ -55,6 +55,18 @@ class Scratchpad : public SimObject, public Clocked
     /** tryAccess() on a partition given by bankOf(). */
     bool tryAccessBank(int arrayId, unsigned bank, bool isWrite);
 
+    /** Whether partition @p bank of @p arrayId has a port left this
+     * cycle, i.e. tryAccessBank() would grant it. */
+    bool bankFree(int arrayId, unsigned bank) const;
+
+    /**
+     * Count @p n failed tryAccessBank() calls at once: the caller
+     * found their partitions without a free port (bankFree()). Each
+     * records its `conflict` instant, so a caller that lets no other
+     * record fall between them keeps the trace of @p n calls.
+     */
+    void addConflicts(std::uint64_t n);
+
     const ArrayConfig &arrayConfig(int arrayId) const;
     std::size_t numArrays() const { return arrays.size(); }
 

@@ -8,8 +8,9 @@
  * events pool under "(untagged)"). After a run the profiler answers:
  * where does the simulator itself spend host time, and how many
  * simulated events per second does it retire (MEPS = millions of
- * events/second) — the headline number tools/genie_bench tracks in
- * BENCH_genie.json.
+ * events/second). MEPS falls when one event does more work (the
+ * datapath completes a whole cycle's nodes in one event), so compare
+ * host time per node or per cycle across versions, as perfbench does.
  *
  * The profiler observes and never mutates simulation state, so
  * profiled and unprofiled runs produce identical simulated results.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Structural, tolerance-aware comparison of two Genie JSON documents
- * (genie-stats-1 metric exports, genie-bench-1 bench summaries).
+ * (genie-stats-1 metric exports, sweep result exports).
  *
  * The comparison walks both documents as trees and reports leaf-level
  * differences by dotted path ("benches[0].sim.total_us"). Per-metric

@@ -2,7 +2,7 @@
  * @file
  * A minimal JSON reader for Genie-Scope's cross-run tooling.
  *
- * genie_diff compares genie-stats-1 and genie-bench-1 documents that
+ * genie_diff compares genie-stats-1 and sweep-result documents that
  * this repository itself emits, so the parser targets exactly RFC
  * 8259 JSON with two deliberate simplifications:
  *

@@ -143,15 +143,12 @@ EventQueue::step()
     if (fn == nullptr)
         action = std::move(e->action);
     freeEntry(e);
-    if (_tracer != nullptr) {
-        // Hand the captured origin to the firing action: the first
-        // span it records closes the flow edge, and inheriting the
-        // origin as the cursor keeps causality threaded through
-        // span-less intermediary events (e.g. a chain of cpu.step
-        // events between a DMA completion and the next ioctl).
-        _pendingOrigin = flowFrom;
-        _flowCursor = flowFrom;
-    }
+    // Hand the captured origin to the firing action: the first span
+    // it records closes the flow edge, and inheriting the origin as
+    // the cursor keeps causality threaded through span-less
+    // intermediary events (e.g. a chain of cpu.step events between a
+    // DMA completion and the next ioctl).
+    enterFlow(flowFrom);
     if (_profiler != nullptr) {
         _profiler->beginEvent(when, kind);
         if (fn != nullptr)

@@ -27,10 +27,11 @@
  * One way in: schedule() has two overloads, a std::function action
  * and a raw function pointer + context word. The raw form skips
  * std::function construction, move and destruction entirely — the
- * devirtualized fast path the hottest kinds (accel.tick,
- * accel.nodeComplete, cpu.step, bus.arbitrate, dram.kick) use. Both
- * capture the ambient flow cursor, and both take a mandatory kind
- * tag. Relative delays are written `curTick() + delta`.
+ * devirtualized fast path of the kinds that fire most: accel.tick and
+ * accel.nodeComplete (at most one of each per accelerator cycle),
+ * cpu.step, bus.arbitrate and dram.kick. Both capture the ambient
+ * flow cursor, and both take a mandatory kind tag. Relative delays
+ * are written `curTick() + delta`.
  */
 
 #ifndef GENIE_SIM_EVENT_QUEUE_HH
@@ -252,6 +253,23 @@ class EventQueue
     /** Consume the pending origin after recording its flow edge
      * (Tracer-only call). */
     void consumeFlowOrigin() const { _pendingOrigin = 0; }
+
+    /**
+     * Re-enter @p origin as the running action's captured origin, as
+     * step() does before every action: an event that batches work
+     * captured by several schedule sites (the datapath's completion
+     * ring) calls it before each piece, so the traced flow edges are
+     * those one event per piece would record. Without a Tracer both
+     * ids stay 0 and this does nothing.
+     */
+    void
+    enterFlow(std::uint64_t origin) const
+    {
+        if (_tracer != nullptr) {
+            _pendingOrigin = origin;
+            _flowCursor = origin;
+        }
+    }
 
     /**
      * Invariant check: panics if any live (scheduled, uncancelled,

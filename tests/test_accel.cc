@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "accel/datapath.hh"
 #include "accel/dddg.hh"
 #include "accel/trace.hh"
@@ -16,6 +19,7 @@
 #include "core/soc.hh"
 #include "dse/journal.hh"
 #include "sim/logging.hh"
+#include "trace/tracer.hh"
 #include "workloads/workload.hh"
 
 namespace genie
@@ -493,6 +497,132 @@ TEST(DatapathIssue, AttemptsStayNearOnePerNodeBesideBankConflicts)
 
     // A host-side diagnostic: not part of the frozen results.
     EXPECT_EQ(resultsJson(r).find("ttempt"), std::string::npos);
+}
+
+TEST(DatapathRing, SameEdgeCompletionsWakeDependentsInIssueOrder)
+{
+    // An FP multiply issued in cycle 0 and the last add of a 4-add
+    // chain issued in cycle 3 both complete on edge 4. Each wakes an
+    // FP add, and the one FP adder per cycle takes the older ready
+    // entry first: the multiply's dependent must win, because the
+    // multiply issued first, although its dependent has the higher
+    // node id. That dependent heads a 2-add tail, so the run takes 9
+    // cycles in issue order and 10 otherwise.
+    TraceBuilder tb;
+    tb.addArray("a", 64, 4, true, false);
+    tb.beginIteration();
+    NodeId v = tb.op(Opcode::IntAdd, {});
+    for (int i = 0; i < 3; ++i)
+        v = tb.op(Opcode::IntAdd, {v});
+    NodeId mul = tb.op(Opcode::FpMul, {});
+    tb.op(Opcode::FpAdd, {v});
+    NodeId w = tb.op(Opcode::FpAdd, {mul});
+    for (int i = 0; i < 2; ++i)
+        w = tb.op(Opcode::IntAdd, {w});
+
+    Datapath::Params p;
+    p.lanes = 1;
+    p.fpAddPerLane = 1;
+    DatapathFixture f(tb.take(), p);
+    EXPECT_EQ(f.runToCompletion(), 9u);
+}
+
+/** Checks that no two events of one kind fire on the same tick and
+ * counts them. */
+struct KindTickCounter : EventProfiler
+{
+    explicit KindTickCounter(std::string k) : kind(std::move(k)) {}
+
+    void
+    beginEvent(Tick when, const char *k) override
+    {
+        if (k == nullptr || kind != k)
+            return;
+        EXPECT_TRUE(count == 0 || when > last)
+            << kind << " fired twice on tick " << when;
+        last = when;
+        ++count;
+    }
+    void endEvent() override {}
+
+    std::string kind;
+    Tick last = 0;
+    std::uint64_t count = 0;
+};
+
+TEST(DatapathRing, AtMostOneCompletionEventPerCycle)
+{
+    for (const char *options :
+         {"mem=dma lanes=8 partitions=8 pipelined=1 triggered=1",
+          "mem=dma lanes=4 partitions=1",
+          "mem=cache lanes=4 cache_kb=16 cache_ports=2"}) {
+        SCOPED_TRACE(options);
+        Trace trace = makeWorkload("md-knn")->build().trace;
+        Dddg dddg(trace);
+        std::vector<std::string> args;
+        std::istringstream iss(options);
+        for (std::string tok; iss >> tok;)
+            args.push_back(tok);
+        Soc soc(parseConfig(args), trace, dddg);
+        KindTickCounter counter("accel.nodeComplete");
+        soc.eventQueue().setProfiler(&counter);
+        soc.run();
+        const StatRegistry &reg = soc.statRegistry();
+        EXPECT_GT(counter.count, 0u);
+        EXPECT_LE(static_cast<double>(counter.count),
+                  reg.get("accel.datapath.cycles"));
+    }
+}
+
+TEST(DatapathIssue, ConflictRunStopsAtAnUncheckedReadyBit)
+{
+    // One bank with one port. Loads at offsets 0, 4 and 8 find their
+    // line full, the load at 64 finds it empty, and two more full
+    // loads follow. In cycle 0 the first load takes the port, the
+    // next two conflict, and the empty bit stops the lane: the loads
+    // behind it are neither examined nor counted as conflicts.
+    auto build = [] {
+        TraceBuilder tb;
+        int a = tb.addArray("a", 256, 4, true, false);
+        tb.beginIteration();
+        for (Addr off : {0, 4, 8, 64, 12, 16})
+            tb.load(a, off, 4);
+        return tb.take();
+    };
+    DatapathFixture::partitions = 1;
+    DatapathFixture::trackReadyBits = true;
+    Datapath::Params p;
+    p.lanes = 1;
+    p.memOpsPerLane = 2;
+    DatapathFixture f(build(), p);
+    DatapathFixture traced(build(), p);
+    DatapathFixture::trackReadyBits = false;
+    DatapathFixture::partitions = 16;
+    // A traced run counts the same conflicts, one instant each.
+    Tracer tracer(traced.eq, traceCategoryBit(TraceCategory::Spad));
+    traced.eq.setTracer(&tracer);
+
+    for (DatapathFixture *d : {&f, &traced}) {
+        d->fe.fill(0, 0, 64);
+        bool done = false;
+        d->dp.start([&] { done = true; });
+        d->eq.run();
+        EXPECT_FALSE(done);
+        EXPECT_DOUBLE_EQ(d->dp.stats().get("readyBitStalls"), 1.0);
+        EXPECT_DOUBLE_EQ(d->dp.stats().get("bankConflicts"), 2.0);
+        EXPECT_DOUBLE_EQ(d->spad.conflicts(), 2.0);
+        EXPECT_DOUBLE_EQ(d->dp.stats().get("issueAttempts"), 4.0);
+
+        d->fe.fill(0, 64, 64);
+        d->eq.run();
+        EXPECT_TRUE(done);
+    }
+    EXPECT_EQ(f.dp.executedCycles(), traced.dp.executedCycles());
+    EXPECT_DOUBLE_EQ(f.spad.conflicts(), traced.spad.conflicts());
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("issueAttempts"),
+                     traced.dp.stats().get("issueAttempts"));
+    EXPECT_EQ(tracer.instantCount(TraceCategory::Spad, "conflict"),
+              static_cast<std::uint64_t>(traced.spad.conflicts()));
 }
 
 TEST(Datapath, PerfectMemoryIgnoresBanks)

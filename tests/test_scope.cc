@@ -14,20 +14,24 @@
  *    on), plus the passivity guarantee: flows enabled changes no
  *    simulated result byte;
  *  - blame determinism: byte-identical reports across repeated runs
- *    and across runs executed on different host threads, and the
- *    >= 95% coverage bar on the paper's Fig. 5 stencil design point.
+ *    and across runs executed on different host threads, the >= 95%
+ *    coverage bar on the paper's Fig. 5 stencil design point, and
+ *    three design points whose results and blame summary are pinned.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "accel/dddg.hh"
+#include "core/config_parse.hh"
 #include "core/report.hh"
 #include "core/soc.hh"
+#include "metrics/export.hh"
 #include "scope/diff.hh"
 #include "scope/json.hh"
 #include "scope/report.hh"
@@ -401,6 +405,76 @@ TEST(ScopeBlame, SpeedupFormattingAndTopCategory)
     blame.byCategory.push_back({"bus", 30, 40, 10, 1.0, 1});
     // Strictly-greater wins; ties keep the earlier (enum) entry.
     EXPECT_EQ(topBlameCategory(blame), "dma");
+}
+
+/**
+ * Three paper design points (optimized DMA, baseline DMA, cache) with
+ * their headline results and the blame summary of their traced run
+ * pinned: work on the simulator's host speed must move neither a
+ * simulated number nor the critical-path attribution.
+ */
+TEST(ScopeBlame, PinnedDesignPointsKeepTheirResultsAndBlame)
+{
+    struct Point
+    {
+        const char *workload;
+        std::vector<std::string> options;
+        const char *sim;
+        const char *blame;
+    };
+    const Point points[] = {
+        {"stencil-stencil2d",
+         {"mem=dma", "lanes=8", "partitions=8", "pipelined=1",
+          "triggered=1"},
+         "total_us=81.470 accel_cycles=5684 energy_pj=543979.7 "
+         "edp=4.431802228103429e-11 bus_utilization=0.5883 "
+         "dma_bytes=16932 cache_miss_rate=0.0000",
+         "top_category=datapath top_share=0.5248 coverage=0.9998"},
+        {"gemm-ncubed", {"mem=dma", "lanes=4", "partitions=4"},
+         "total_us=174.060 accel_cycles=11664 energy_pj=829863.9 "
+         "edp=1.4444611274171784e-10 bus_utilization=0.2244 "
+         "dma_bytes=13824 cache_miss_rate=0.0000",
+         "top_category=datapath top_share=0.6716 coverage=0.9983"},
+        {"md-knn", {"mem=cache", "lanes=4", "cache_kb=16", "cache_ports=2"},
+         "total_us=158.320 accel_cycles=15800 energy_pj=1242090.1 "
+         "edp=1.9664770146559998e-10 bus_utilization=0.6003 "
+         "dma_bytes=0 cache_miss_rate=0.0709",
+         "top_category=datapath top_share=0.6894 coverage=0.9370"},
+    };
+    for (const Point &pt : points) {
+        SCOPED_TRACE(pt.workload);
+        Trace trace = makeWorkload(pt.workload)->build().trace;
+        Dddg dddg(trace);
+        SocConfig cfg = parseConfig(pt.options);
+        Soc soc(cfg, trace, dddg);
+        SocResults r = soc.run();
+        EXPECT_EQ(format("total_us=%.3f accel_cycles=%llu "
+                         "energy_pj=%.1f edp=%s bus_utilization=%.4f "
+                         "dma_bytes=%llu cache_miss_rate=%.4f",
+                         r.totalUs(), (unsigned long long)r.accelCycles,
+                         r.energyPj, formatStatNumber(r.edp).c_str(),
+                         r.busUtilization,
+                         (unsigned long long)r.dmaBytes,
+                         r.cacheMissRate),
+                  pt.sim);
+
+        cfg.tracing.enabled = true;
+        cfg.tracing.categories = allTraceCategories;
+        Soc traced(cfg, trace, dddg);
+        traced.run();
+        BlameReport b = blameRun(*traced.tracer());
+        Tick topTicks = 0;
+        for (const auto &e : b.byCategory)
+            topTicks = std::max(topTicks, e.onPathTicks);
+        double topShare = b.coveredTicks > 0
+                              ? static_cast<double>(topTicks) /
+                                    static_cast<double>(b.coveredTicks)
+                              : 0.0;
+        EXPECT_EQ(format("top_category=%s top_share=%.4f coverage=%.4f",
+                         topBlameCategory(b).c_str(), topShare,
+                         b.coverage),
+                  pt.blame);
+    }
 }
 
 } // namespace

@@ -143,6 +143,31 @@ TEST(EventQueue, BothOverloadsCaptureTheFlowCursor)
     EXPECT_EQ(p.seen, (std::vector<std::uint64_t>{7, 9}));
 }
 
+TEST(EventQueue, EnterFlowRestoresTheOriginOnlyWhileTraced)
+{
+    // Untraced, the ambient flow ids stay 0 whatever a batching event
+    // re-enters.
+    OriginProbe p;
+    p.eq.enterFlow(42);
+    EXPECT_EQ(p.eq.flowCursor(), 0u);
+    EXPECT_EQ(p.eq.pendingFlowOrigin(), 0u);
+
+    // Traced, it restores both ids, as step() does before an action,
+    // and the next schedule() captures the re-entered origin.
+    Tracer tracer(p.eq);
+    p.eq.setTracer(&tracer);
+    p.eq.schedule(10, [&p] {
+        p.eq.setFlowCursor(7);
+        p.eq.consumeFlowOrigin();
+        p.eq.enterFlow(42);
+        EXPECT_EQ(p.eq.flowCursor(), 42u);
+        EXPECT_EQ(p.eq.pendingFlowOrigin(), 42u);
+        p.eq.schedule(20, &OriginProbe::rawNote, &p, 0, "test.raw");
+    }, "test.batch");
+    p.eq.run();
+    EXPECT_EQ(p.seen, (std::vector<std::uint64_t>{42}));
+}
+
 TEST(Clocked, CycleTickConversions)
 {
     EventQueue eq;

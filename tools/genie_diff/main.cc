@@ -1,13 +1,12 @@
 /**
  * @file
  * genie_diff: structural comparison of two Genie JSON documents
- * (genie-stats-1 exports, genie-bench-1 bench summaries, sweep
- * results) under per-metric tolerance rules — the CI gate for "did
- * the numbers move?".
+ * (genie-stats-1 exports, sweep results) under per-metric tolerance
+ * rules — the check for "did the numbers move?".
  *
  *   genie_diff baseline.json candidate.json
- *   genie_diff BENCH_baseline.json BENCH_genie.json \
- *              --tol='*.sim.total_us=0.5%' --report=diff.md
+ *   genie_diff old.stats.json new.stats.json \
+ *              --tol='*.total_us=0.5%' --report=diff.md
  *   genie_diff a.json b.json --tol='*cache_miss_rate*=ignore' \
  *              --strict
  *
