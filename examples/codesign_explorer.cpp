@@ -9,19 +9,21 @@
  * contention) are applied — the paper's central experiment, on any
  * workload you pick.
  *
- *   codesign_explorer [workload] [--threads=N] [--resume=FILE]
+ *   codesign_explorer [workload] [--threads=N] [--store=DIR]
  *
- * Both sweeps share one ResultCache, and --resume=FILE adds a
- * checkpoint journal: an interrupted exploration re-run with the same
- * command line loads every already-simulated point from FILE and
+ * Both sweeps share one ResultCache, and --store=DIR adds a durable
+ * ResultStore: an interrupted exploration re-run with the same
+ * command line loads every already-simulated point from DIR and
  * continues where it stopped (see dse/sweep_engine.hh).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "dse/pareto.hh"
+#include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
 #include "workloads/workload.hh"
@@ -33,17 +35,18 @@ main(int argc, char **argv)
 
     std::string name = "md-knn";
     SweepOptions options;
+    ResultStore store;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--threads=", 10) == 0) {
             options.threads = static_cast<unsigned>(
                 std::strtoul(argv[i] + 10, nullptr, 10));
-        } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-            options.resumePath = argv[i] + 9;
-            options.journalPath = options.resumePath;
+        } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
+            store.open(argv[i] + 8);
+            options.store = &store;
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr,
                          "usage: codesign_explorer [workload] "
-                         "[--threads=N] [--resume=FILE]\n");
+                         "[--threads=N] [--store=DIR]\n");
             return 2;
         } else {
             name = argv[i];
@@ -57,20 +60,22 @@ main(int argc, char **argv)
 
     // Sweep the isolated space (compute phase only) and the
     // co-designed DMA space (full system, all DMA optimizations).
-    // One cache and one journal serve both sweeps: identical points
+    // One cache and one store serve both sweeps: identical points
     // dedupe, and a resumed exploration skips everything already
-    // journaled.
+    // stored.
     ResultCache cache;
     options.cache = &cache;
     SocConfig base;
     SweepEngine engine(std::move(options));
     auto isolated =
         engine.run(DesignSpace::isolated(base), out.trace, dddg);
+    std::uint64_t served = engine.storeHits();
     auto system = engine.run(DesignSpace::dma(base), out.trace, dddg);
-    if (cache.hits() > 0) {
+    served += engine.storeHits() + cache.hits();
+    if (served > 0) {
         std::printf("(%llu of %zu points served from the result "
-                    "cache)\n\n",
-                    (unsigned long long)cache.hits(),
+                    "cache or store)\n\n",
+                    (unsigned long long)served,
                     isolated.size() + system.size());
     }
 

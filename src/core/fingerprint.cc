@@ -9,12 +9,12 @@ std::string
 configCanonicalKey(const SocConfig &c)
 {
     // Every field here changes simulated results; order is frozen —
-    // the journal schema (genie-sweep-1) and warm caches depend on
-    // keys being stable across releases. New result-affecting knobs
+    // ResultStore records and warm caches depend on keys being
+    // stable across releases. New result-affecting knobs
     // are appended only when non-default (the fault-campaign
     // precedent): a default-valued knob simulates identically to a
     // build that predates it, so the old key may keep hitting, while
-    // any non-default value produces a key old journals never wrote.
+    // any non-default value produces a key old stores never wrote.
     // Host-side knobs (tracing/metrics sinks) are deliberately
     // absent: they cannot change simulated results, so runs differing
     // only in them must share one key.
@@ -83,15 +83,20 @@ configCanonicalKey(const SocConfig &c)
 }
 
 std::uint64_t
-configFingerprint(const SocConfig &config)
+keyFingerprint(const std::string &key)
 {
-    const std::string key = configCanonicalKey(config);
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (unsigned char ch : key) {
         h ^= ch;
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+std::uint64_t
+configFingerprint(const SocConfig &config)
+{
+    return keyFingerprint(configCanonicalKey(config));
 }
 
 std::string

@@ -9,11 +9,11 @@
  * byte-identical to a plain run by contract, so it would be wrong for
  * a stats-export path to defeat the sweep result cache.
  *
- * configFingerprint() hashes the canonical key (FNV-1a, 64 bit) for
- * compact journal records and fast map lookups; the ResultCache keys
- * on the full canonical string, so a hash collision can never cause a
- * false cache hit — the fingerprint is an index, the key is the
- * identity. test_properties.cc nevertheless proves the fingerprint
+ * configFingerprint() hashes the canonical key (FNV-1a, 64 bit); it
+ * names ResultStore record files and labels export entries. The
+ * ResultCache and ResultStore both compare the full canonical string,
+ * so a hash collision can never cause a false hit — the fingerprint
+ * is an index, the key is the identity. test_properties.cc nevertheless proves the fingerprint
  * injective over every enumerated Figure 3 space.
  */
 
@@ -33,7 +33,10 @@ namespace genie
  * the fault campaign; never tracing or metrics paths. */
 std::string configCanonicalKey(const SocConfig &config);
 
-/** FNV-1a 64-bit hash of configCanonicalKey(). */
+/** FNV-1a 64-bit hash of @p key. */
+std::uint64_t keyFingerprint(const std::string &key);
+
+/** keyFingerprint() of configCanonicalKey(). */
 std::uint64_t configFingerprint(const SocConfig &config);
 
 /** Fixed-width lower-case hex rendering of a fingerprint. */

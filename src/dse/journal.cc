@@ -1,9 +1,5 @@
 #include "journal.hh"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #include "core/fingerprint.hh"
 #include "metrics/export.hh"
 #include "sim/logging.hh"
@@ -26,65 +22,7 @@ dblField(const char *name, double v)
     return format("\"%s\": %s", name, formatStatNumber(v).c_str());
 }
 
-/** Value text after `"name": `, or empty when absent. */
-std::string
-fieldText(const std::string &line, const char *name)
-{
-    std::string needle = format("\"%s\": ", name);
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return "";
-    return line.substr(pos + needle.size());
-}
-
-bool
-parseU64Field(const std::string &line, const char *name,
-              std::uint64_t &out)
-{
-    std::string text = fieldText(line, name);
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end != text.c_str();
-}
-
-bool
-parseDblField(const std::string &line, const char *name, double &out)
-{
-    std::string text = fieldText(line, name);
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != text.c_str();
-}
-
-bool
-parseStringField(const std::string &line, const char *name,
-                 std::string &out)
-{
-    std::string needle = format("\"%s\": \"", name);
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    std::size_t begin = pos + needle.size();
-    // Canonical keys and fingerprints are plain `key=value` ASCII —
-    // no quotes or escapes — so the closing quote is unambiguous.
-    std::size_t end = line.find('"', begin);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(begin, end - begin);
-    return true;
-}
-
 } // namespace
-
-std::string
-journalHeaderLine()
-{
-    return "{\"schema\": \"genie-sweep-1\"}\n";
-}
 
 std::string
 resultsJson(const SocResults &r)
@@ -117,141 +55,6 @@ resultsJson(const SocResults &r)
     s += u64Field("lanes", r.lanes);
     s += "}";
     return s;
-}
-
-std::string
-journalRecordLine(const std::string &key, std::uint64_t fingerprint,
-                  const SocResults &results)
-{
-    return format("{\"fp\": \"%s\", \"key\": \"%s\", \"results\": ",
-                  fingerprintHex(fingerprint).c_str(), key.c_str()) +
-           resultsJson(results) + "}\n";
-}
-
-bool
-parseJournalLine(const std::string &line, JournalRecord &out)
-{
-    if (line.find("\"schema\"") != std::string::npos)
-        return false;
-    // A record always closes with the results object's "}}"; a torn
-    // line (killed mid-write) cannot, and is skipped.
-    std::size_t end = line.find_last_not_of(" \t\r");
-    if (end == std::string::npos || end < 1 ||
-        line.compare(end - 1, 2, "}}") != 0)
-        return false;
-
-    JournalRecord rec;
-    std::string fpHex;
-    if (!parseStringField(line, "fp", fpHex) ||
-        !parseStringField(line, "key", rec.key))
-        return false;
-    rec.fingerprint = std::strtoull(fpHex.c_str(), nullptr, 16);
-
-    SocResults &r = rec.results;
-    std::uint64_t stalled = 0;
-    bool ok = parseU64Field(line, "total_ticks", r.totalTicks) &&
-              parseU64Field(line, "accel_cycles", r.accelCycles) &&
-              parseU64Field(line, "flush_only",
-                            r.breakdown.flushOnly) &&
-              parseU64Field(line, "dma_flush",
-                            r.breakdown.dmaFlush) &&
-              parseU64Field(line, "compute_dma",
-                            r.breakdown.computeDma) &&
-              parseU64Field(line, "compute_only",
-                            r.breakdown.computeOnly) &&
-              parseU64Field(line, "other", r.breakdown.other) &&
-              parseDblField(line, "energy_pj", r.energyPj) &&
-              parseDblField(line, "dynamic_pj", r.dynamicPj) &&
-              parseDblField(line, "leakage_pj", r.leakagePj) &&
-              parseDblField(line, "avg_power_mw", r.avgPowerMw) &&
-              parseDblField(line, "edp", r.edp) &&
-              parseDblField(line, "cache_miss_rate",
-                            r.cacheMissRate) &&
-              parseDblField(line, "tlb_hit_rate", r.tlbHitRate) &&
-              parseDblField(line, "dram_row_hit_rate",
-                            r.dramRowHitRate) &&
-              parseDblField(line, "bus_utilization",
-                            r.busUtilization) &&
-              parseU64Field(line, "dma_bytes", r.dmaBytes) &&
-              parseU64Field(line, "spad_conflicts",
-                            r.spadConflicts) &&
-              parseU64Field(line, "ready_bit_stalls",
-                            r.readyBitStalls) &&
-              parseU64Field(line, "cache_to_cache",
-                            r.cacheToCacheTransfers) &&
-              parseU64Field(line, "stalled", stalled) &&
-              parseU64Field(line, "local_sram_bytes",
-                            r.localSramBytes) &&
-              parseDblField(line, "local_mem_bw",
-                            r.localMemBandwidthBytesPerCycle);
-    std::uint64_t lanes = 0;
-    ok = ok && parseU64Field(line, "lanes", lanes);
-    if (!ok)
-        return false;
-    r.stalled = stalled != 0;
-    r.lanes = static_cast<unsigned>(lanes);
-    out = std::move(rec);
-    return true;
-}
-
-JournalLoadResult
-loadJournalChecked(const std::string &path)
-{
-    JournalLoadResult out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    bool sawHeader = false;
-    bool first = true;
-    bool lastLineBad = false;
-    while (std::getline(in, line)) {
-        if (line.find("\"schema\": \"genie-sweep-1\"") !=
-            std::string::npos) {
-            sawHeader = true;
-            first = false;
-            lastLineBad = false;
-            continue;
-        }
-        if (first && !line.empty()) {
-            fatal("journal %s: missing genie-sweep-1 header — not a "
-                  "sweep journal",
-                  path.c_str());
-        }
-        first = false;
-        // A previously seen bad line turned out to be *interior*
-        // (something followed it): that is corruption, not a torn
-        // tail, and silently skipping it would make disk corruption
-        // invisible. Count it; the final tally is warned below.
-        if (lastLineBad)
-            ++out.corruptLines;
-        lastLineBad = false;
-        if (line.empty())
-            continue;
-        JournalRecord rec;
-        if (parseJournalLine(line, rec))
-            out.records.push_back(std::move(rec));
-        else
-            lastLineBad = true;
-    }
-    out.tornFinalLine = lastLineBad;
-    if (!out.records.empty() && !sawHeader) {
-        fatal("journal %s: records without a genie-sweep-1 header",
-              path.c_str());
-    }
-    if (out.corruptLines > 0) {
-        warn("journal %s: skipped %zu corrupt interior line(s) — "
-             "this is disk corruption, not an interrupted write; the "
-             "affected points will be re-simulated",
-             path.c_str(), out.corruptLines);
-    }
-    return out;
-}
-
-std::vector<JournalRecord>
-loadJournal(const std::string &path)
-{
-    return loadJournalChecked(path).records;
 }
 
 void

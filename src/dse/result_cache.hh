@@ -6,8 +6,8 @@
  * equality of keys is exactly equality of result-affecting
  * configuration — a fingerprint hash collision can never produce a
  * false hit. One cache can be shared across sweeps (the Fig. 6 and
- * Fig. 8 spaces overlap in their all-optimizations DMA points) and
- * across repeated explorer invocations via the checkpoint journal.
+ * Fig. 8 spaces overlap in their all-optimizations DMA points); the
+ * ResultStore behind it carries points across invocations.
  *
  * Bounding: a CLI sweep lives for one process and wants every point
  * memoized, so the default is unbounded. Long-lived processes (the

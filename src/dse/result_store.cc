@@ -49,13 +49,114 @@ storeHeaderLine(std::uint32_t crc)
                   crc);
 }
 
+std::string
+fieldText(const std::string &line, const char *name)
+{
+    std::string needle = format("\"%s\": ", name);
+    std::size_t pos = line.find(needle);
+    return pos == std::string::npos ? ""
+                                    : line.substr(pos + needle.size());
+}
+
+bool
+parseU64Field(const std::string &line, const char *name,
+              std::uint64_t &out)
+{
+    std::string text = fieldText(line, name);
+    char *end = nullptr;
+    out = std::strtoull(text.c_str(), &end, 10);
+    return !text.empty() && end != text.c_str();
+}
+
+bool
+parseDblField(const std::string &line, const char *name, double &out)
+{
+    std::string text = fieldText(line, name);
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() && end != text.c_str();
+}
+
+/** The record payload: one line naming the point and its results. */
+std::string
+payloadLine(const std::string &key, const SocResults &results)
+{
+    return format("{\"fp\": \"%s\", \"key\": \"%s\", \"results\": ",
+                  fingerprintHex(keyFingerprint(key)).c_str(),
+                  key.c_str()) +
+           resultsJson(results) + "}";
+}
+
+/** Parse a payload line into @p key and @p r; false when torn. */
+bool
+parsePayloadLine(const std::string &line, std::string &key,
+                 SocResults &r)
+{
+    // A payload always closes with the results object's "}}".
+    std::size_t end = line.find_last_not_of(" \t\r");
+    if (end == std::string::npos || end < 1 ||
+        line.compare(end - 1, 2, "}}") != 0)
+        return false;
+    // Canonical keys are plain `key=value` ASCII with no quotes or
+    // escapes, so the closing quote is unambiguous.
+    const std::string needle = "\"key\": \"";
+    std::size_t begin = line.find(needle);
+    if (begin == std::string::npos)
+        return false;
+    begin += needle.size();
+    std::size_t close = line.find('"', begin);
+    if (close == std::string::npos)
+        return false;
+    key = line.substr(begin, close - begin);
+
+    std::uint64_t stalled = 0, lanes = 0;
+    bool ok = parseU64Field(line, "total_ticks", r.totalTicks) &&
+              parseU64Field(line, "accel_cycles", r.accelCycles) &&
+              parseU64Field(line, "flush_only",
+                            r.breakdown.flushOnly) &&
+              parseU64Field(line, "dma_flush",
+                            r.breakdown.dmaFlush) &&
+              parseU64Field(line, "compute_dma",
+                            r.breakdown.computeDma) &&
+              parseU64Field(line, "compute_only",
+                            r.breakdown.computeOnly) &&
+              parseU64Field(line, "other", r.breakdown.other) &&
+              parseDblField(line, "energy_pj", r.energyPj) &&
+              parseDblField(line, "dynamic_pj", r.dynamicPj) &&
+              parseDblField(line, "leakage_pj", r.leakagePj) &&
+              parseDblField(line, "avg_power_mw", r.avgPowerMw) &&
+              parseDblField(line, "edp", r.edp) &&
+              parseDblField(line, "cache_miss_rate",
+                            r.cacheMissRate) &&
+              parseDblField(line, "tlb_hit_rate", r.tlbHitRate) &&
+              parseDblField(line, "dram_row_hit_rate",
+                            r.dramRowHitRate) &&
+              parseDblField(line, "bus_utilization",
+                            r.busUtilization) &&
+              parseU64Field(line, "dma_bytes", r.dmaBytes) &&
+              parseU64Field(line, "spad_conflicts",
+                            r.spadConflicts) &&
+              parseU64Field(line, "ready_bit_stalls",
+                            r.readyBitStalls) &&
+              parseU64Field(line, "cache_to_cache",
+                            r.cacheToCacheTransfers) &&
+              parseU64Field(line, "stalled", stalled) &&
+              parseU64Field(line, "local_sram_bytes",
+                            r.localSramBytes) &&
+              parseDblField(line, "local_mem_bw",
+                            r.localMemBandwidthBytesPerCycle) &&
+              parseU64Field(line, "lanes", lanes);
+    r.stalled = stalled != 0;
+    r.lanes = static_cast<unsigned>(lanes);
+    return ok;
+}
+
 /** Everything read out of one record file; stack-local to a read. */
 struct ReadRecord GENIE_THREAD_LOCAL_OK
 {
     bool ok = false;
     const char *why = "";  ///< failure reason when !ok
     std::string key;
-    std::uint64_t fingerprint = 0;
     SocResults results;
     std::uint64_t bytes = 0; ///< on-disk size of the record
 };
@@ -100,15 +201,11 @@ readRecordFile(const std::string &path)
         r.why = "crc32 mismatch";
         return r;
     }
-    JournalRecord rec;
-    if (!parseJournalLine(payload, rec)) {
+    if (!parsePayloadLine(payload, r.key, r.results)) {
         r.why = "unparseable payload";
         return r;
     }
     r.ok = true;
-    r.key = rec.key;
-    r.fingerprint = rec.fingerprint;
-    r.results = rec.results;
     r.bytes = header.size() + payload.size() + 2; // + two newlines
     return r;
 }
@@ -196,6 +293,7 @@ ResultStore::open(const std::string &dir, std::uint64_t maxBytes)
     _budget = maxBytes;
     index.clear();
     lru.clear();
+    files.clear();
     _bytes = 0;
 
     // Scan: collect well-formed records oldest-first so the LRU order
@@ -236,6 +334,7 @@ ResultStore::open(const std::string &dir, std::uint64_t maxBytes)
                   return a.name < b.name;
               });
     for (auto &f : found) {
+        files.insert(f.name);
         if (index.count(f.key))
             continue; // duplicate content; keep the older file
         lru.push_back(f.key);
@@ -298,17 +397,16 @@ ResultStore::lookup(const std::string &key, SocResults &out)
         return false;
     }
     ReadRecord rec = readRecordFile(path(it->second.file));
-    bool gone = !rec.ok && std::strcmp(rec.why, "unreadable") == 0;
-    if (rec.ok && rec.key != key) {
-        // The file changed identity since it was indexed (external
-        // interference); it is valid for *some* point but not this
-        // one. Leave it alone under its real key semantics and miss.
-        rec.ok = false;
-        rec.why = "canonical key mismatch";
-    }
-    if (!rec.ok) {
-        if (!gone)
-            quarantine(it->second.file, rec.why);
+    if (!rec.ok || rec.key != key) {
+        // A valid record of another key means a concurrent writer of
+        // a colliding key replaced the file: it is a miss here, but
+        // the record is that key's, so it stays in place and keeps
+        // its name taken.
+        if (!rec.ok) {
+            if (std::strcmp(rec.why, "unreadable") != 0)
+                quarantine(it->second.file, rec.why);
+            files.erase(it->second.file);
+        }
         _bytes -= std::min(_bytes, it->second.bytes);
         lru.erase(it->second.lruPos);
         index.erase(it);
@@ -324,50 +422,37 @@ ResultStore::lookup(const std::string &key, SocResults &out)
 }
 
 void
-ResultStore::insert(const std::string &key, std::uint64_t fingerprint,
-                    const SocResults &results)
+ResultStore::insert(const std::string &key, const SocResults &results)
 {
     std::lock_guard<std::mutex> lock(mutex);
     if (_dir.empty())
         panic("result store: insert before open()");
-    auto it = index.find(key);
-    if (it != index.end()) {
+    if (index.count(key)) {
         // First writer wins: an identical point was stored while we
         // simulated. Refresh recency only.
         touch(key);
         return;
     }
 
-    std::string payload = journalRecordLine(key, fingerprint, results);
-    if (!payload.empty() && payload.back() == '\n')
-        payload.pop_back();
+    const std::string payload = payloadLine(key, results);
     std::uint32_t crc = crc32Ieee(payload.data(), payload.size());
     const std::string contents =
         storeHeaderLine(crc) + payload + "\n";
 
-    // Content address: fingerprint names the file. On the (measure-
-    // zero, but handled) chance two live keys share a fingerprint,
-    // probe numbered siblings; the record's embedded key keeps every
+    // Content address: the key's fingerprint names the file. Should
+    // two keys share a fingerprint, the later one takes the first
+    // free numbered sibling; the record's embedded key keeps every
     // outcome correct regardless.
-    std::string base = fingerprintHex(fingerprint);
+    const std::string base = fingerprintHex(keyFingerprint(key));
     std::string name = base + recordSuffix;
-    for (unsigned probe = 1; probe < 16; ++probe) {
-        bool taken = false;
-        for (const auto &[k, r] : index) {
-            if (r.file == name) {
-                taken = true;
-                break;
-            }
-        }
-        if (!taken)
-            break;
+    for (unsigned probe = 1; files.count(name); ++probe)
         name = base + "-" + std::to_string(probe) + recordSuffix;
-    }
 
     if (!writeFileDurably(path(name), contents))
         return; // warned already; the store is a cache, not a gate
     syncDirectory(_dir);
 
+    files.insert(name);
     lru.push_back(key);
     index[key] = Record{name, contents.size(), std::prev(lru.end())};
     _bytes += contents.size();
@@ -394,6 +479,7 @@ ResultStore::evictToBudget() GENIE_REQUIRES(mutex)
         }
         std::error_code ec;
         fs::remove(path(it->second.file), ec);
+        files.erase(it->second.file);
         _bytes -= std::min(_bytes, it->second.bytes);
         lru.pop_front();
         index.erase(it);

@@ -5,20 +5,21 @@
  *
  * The in-memory ResultCache memoizes points for the lifetime of one
  * process; the ResultStore is its on-disk big sibling, shared across
- * processes, daemon restarts, and days. Records are addressed by
- * configuration content: the filename is the configCanonicalKey's
- * fingerprint (fingerprintHex), and the record itself carries the
- * full canonical key, so a fingerprint collision degrades to a miss,
- * never to a wrong result — the fingerprint is the index, the key is
- * the identity, exactly as in the ResultCache.
+ * processes, daemon restarts, and days. It is also the only
+ * checkpoint: an interrupted sweep resumes by rerunning it on the
+ * same store, which serves every point already written. Records are
+ * addressed by content: the filename is the key's fingerprint
+ * (keyFingerprint, fingerprintHex), and the record itself carries the
+ * full key, so a fingerprint collision degrades to a numbered sibling
+ * file or a miss, never to a wrong result — the fingerprint is the
+ * index, the key is the identity, exactly as in the ResultCache.
  *
  * Durability and self-verification:
  *
  *  - One record per file. A record is the genie-store-1 header line
- *    (carrying a CRC32 of the payload) followed by one payload line
- *    in the journal's `genie-sweep-1` record format, so results
- *    round-trip bit-exactly through the same serializer the
- *    checkpoint journal already proves.
+ *    (carrying a CRC32 of the payload) followed by one payload line,
+ *    `{"fp": ..., "key": ..., "results": resultsJson}`, so results
+ *    round-trip bit-exactly through the export's serializer.
  *  - Writes are atomic: the record is written to a `.tmp` sibling,
  *    fsync'd, then renamed into place. A `kill -9` at any instant
  *    leaves either the old state or the new record, never a torn
@@ -46,6 +47,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 
 #include "core/results.hh"
@@ -111,13 +113,12 @@ class ResultStore
     bool lookup(const std::string &key, SocResults &out);
 
     /**
-     * Durably persist @p results under @p key / @p fingerprint
-     * (atomic write-rename, fsync'd). First writer wins; inserting a
-     * key that is already indexed only refreshes its recency. May
-     * evict least-recently-used records to honor the byte budget.
+     * Durably persist @p results under @p key (atomic write-rename,
+     * fsync'd). First writer wins; inserting a key that is already
+     * indexed only refreshes its recency. May evict least-recently-
+     * used records to honor the byte budget.
      */
-    void insert(const std::string &key, std::uint64_t fingerprint,
-                const SocResults &results);
+    void insert(const std::string &key, const SocResults &results);
 
     /** Snapshot of the store counters. */
     ResultStoreStats stats() const;
@@ -144,6 +145,9 @@ class ResultStore
     std::uint64_t _budget GENIE_SHARED_OK(written by open before the
                                           store is shared) = 0;
     std::map<std::string, Record> index GENIE_GUARDED_BY(mutex);
+    /** Record file names this process must not overwrite: every
+     * indexed file, plus valid files another key owns. */
+    std::set<std::string> files GENIE_GUARDED_BY(mutex);
     /** Least recently used at the front. */
     std::list<std::string> lru GENIE_GUARDED_BY(mutex);
     std::uint64_t _bytes GENIE_GUARDED_BY(mutex) = 0;

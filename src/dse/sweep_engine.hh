@@ -16,10 +16,11 @@
  *    explorer invocations repeat whole spaces; both dedupe to cache
  *    hits. Pass a shared cache in SweepOptions to dedupe across
  *    sweeps; otherwise the engine uses a private one.
- *  - checkpointing: with a journal path set, each freshly simulated
- *    point is appended (and flushed) as a `genie-sweep-1` JSON line;
- *    with a resume path set, the journal is preloaded into the cache
- *    so an interrupted sweep redoes only the missing points.
+ *  - checkpointing: with a ResultStore set, each freshly simulated
+ *    point is written through to disk the moment it finishes, and
+ *    every point is looked up there after a cache miss, so rerunning
+ *    an interrupted sweep on the same store redoes only the missing
+ *    points.
  *  - failure: a throw inside a worker never terminates the process
  *    and never silently drops the point. Failures are collected with
  *    the offending config attached and rethrown as one SweepError
@@ -33,8 +34,8 @@
  * all three. Host time is read through profilerNowNs() only: two
  * reads around each fresh point's Soc::run(), for the MEPS report,
  * and the progress clock. No profiler is attached to a point, so no
- * event pays for timing. Host time never enters results or the
- * journal (the sweep-determinism lint rule).
+ * event pays for timing. Host time never enters results or store
+ * records (the sweep-determinism lint rule).
  */
 
 #ifndef GENIE_DSE_SWEEP_ENGINE_HH
@@ -64,7 +65,7 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
 {
     std::size_t total = 0;  ///< points in the sweep
     std::size_t done = 0;   ///< freshly simulated
-    std::size_t cached = 0; ///< served from the ResultCache/journal
+    std::size_t cached = 0; ///< served from the ResultCache/store
     std::size_t failed = 0; ///< worker exceptions (see failures())
     /** Aggregate simulator throughput so far: millions of simulated
      * events retired per host-second spent inside Soc::run() of the
@@ -73,7 +74,7 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
 
     // Live telemetry (populated only while a run is in flight; all
     // host-time-derived, so none of it ever enters results or the
-    // journal).
+    // store).
     unsigned workers = 0; ///< worker threads in this run
     unsigned active = 0;  ///< workers currently simulating a point
     double elapsedSeconds = 0.0;  ///< host time since run() began
@@ -82,7 +83,7 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
      * rate is measurable). */
     double etaSeconds = 0.0;
     /** cached / (done + cached): how much of the sweep the result
-     * cache and resume journal absorbed. */
+     * cache and store absorbed. */
     double cacheHitRate = 0.0;
     /** active / workers: the fraction of the pool doing useful work
      * (drops at the tail when deques drain). */
@@ -131,14 +132,6 @@ struct SweepOptions GENIE_SHARED_OK(written before run starts and
     /** Worker threads; 0 = hardware concurrency. */
     unsigned threads = 0;
 
-    /** Append a `genie-sweep-1` record per fresh simulation; "" =
-     * no journal. Truncated unless it is also the resume path. */
-    std::string journalPath;
-
-    /** Preload this journal into the cache before sweeping; "" =
-     * cold start. May equal journalPath (the restart case). */
-    std::string resumePath;
-
     /** Stop cleanly after this many fresh simulations (0 = no
      * limit). Used to test and exercise interruption/resume. */
     std::size_t maxFreshPoints = 0;
@@ -155,15 +148,16 @@ struct SweepOptions GENIE_SHARED_OK(written before run starts and
      * miss the engine consults the store (a store hit counts as
      * cached and is promoted into the cache), and every fresh
      * simulation is written through, so completed points survive the
-     * process — the genie_serve crash-tolerance contract. The store
-     * must be open; null = no persistence.
+     * process — the genie_serve crash-tolerance contract, and how an
+     * interrupted sweep resumes. The store must be open; null = no
+     * persistence.
      */
     ResultStore *store = nullptr;
 
     /**
      * Cooperative stop: when the pointee becomes true (a signal
      * handler's drain request), workers stop dealing new points,
-     * in-flight points finish and journal normally, and run()
+     * in-flight points finish and are stored normally, and run()
      * returns with interrupted() set. Null = never stopped.
      */
     const std::atomic<bool> *stopRequested = nullptr;
@@ -214,14 +208,6 @@ class SweepEngine
     /** Points of the last run served from the durable ResultStore
      * (a subset of the cached count). */
     std::uint64_t storeHits() const { return _storeHits; }
-
-    /** Corrupt interior journal lines skipped while resuming the
-     * last run (see JournalLoadResult::corruptLines); nonzero means
-     * disk corruption and the affected points were re-simulated. */
-    std::size_t journalCorruptLines() const
-    {
-        return _journalCorruptLines;
-    }
 
     /** Simulated events retired by the freshly simulated points of
      * the last run (each Soc's EventQueue::numExecuted(), summed);
@@ -277,9 +263,6 @@ class SweepEngine
     Stat *statStoreHits GENIE_SHARED_OK(bound in ctor; pointee
                                         written after workers
                                         join) = nullptr;
-    Stat *statJournalCorrupt GENIE_SHARED_OK(bound in ctor; pointee
-                                             written before workers
-                                             spawn) = nullptr;
 
     /** Owner-thread mirrors of the last run, copied after the join. */
     std::vector<FailedPoint> _failures GENIE_THREAD_LOCAL_OK;
@@ -287,7 +270,6 @@ class SweepEngine
     std::uint64_t _events GENIE_THREAD_LOCAL_OK = 0;
     std::uint64_t _wallNs GENIE_THREAD_LOCAL_OK = 0;
     std::uint64_t _storeHits GENIE_THREAD_LOCAL_OK = 0;
-    std::size_t _journalCorruptLines GENIE_THREAD_LOCAL_OK = 0;
 
     void publishStats();
 };

@@ -123,6 +123,13 @@ EventQueue::step()
     skipCancelled();
     if (heap.empty())
         return false;
+    fireTop();
+    return true;
+}
+
+void
+EventQueue::fireTop()
+{
     Entry *e = heap.top();
     heap.pop();
     GENIE_ASSERT(e->when >= _curTick, "event order went backwards");
@@ -162,7 +169,6 @@ EventQueue::step()
         else
             action();
     }
-    return true;
 }
 
 Tick
@@ -172,7 +178,9 @@ EventQueue::run(Tick until)
         Tick next = nextTick();
         if (next == maxTick || next > until)
             break;
-        step();
+        // nextTick() reaped cancelled entries: the top is live, so
+        // fire it without a second scan.
+        fireTop();
     }
     if (until != maxTick && _curTick < until)
         _curTick = until;

@@ -327,6 +327,10 @@ class EventQueue
     /** Pop cancelled entries off the top of the heap. */
     void skipCancelled() const;
 
+    /** Pop and fire the heap top; skipCancelled() must have left a
+     * live entry there. */
+    void fireTop();
+
     /** Destroy @p e's arena slot, keeping the live count honest. */
     void freeEntry(const Entry *e) const;
 

@@ -8,13 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 
-#include "core/fingerprint.hh"
 #include "dse/journal.hh"
 #include "dse/pareto.hh"
+#include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
 #include "metrics/profiler.hh"
@@ -316,104 +315,56 @@ TEST(SweepEngine, CacheDedupesOverlappingSpaces)
     EXPECT_EQ(engine.progress().done, 0u);
 }
 
-TEST(SweepEngine, JournalRoundTripsExactResults)
+TEST(SweepEngine, InterruptedSweepResumesFromStore)
 {
     const auto &s = space();
-    const std::string path =
-        ::testing::TempDir() + "genie_sweep_journal.jsonl";
-    std::remove(path.c_str());
-
-    SweepOptions options;
-    options.journalPath = path;
-    SweepEngine engine(std::move(options));
-    auto points = engine.run(s.configs, s.trace, s.dddg);
-
-    auto records = loadJournal(path);
-    ASSERT_EQ(records.size(), s.configs.size());
-    for (const auto &rec : records) {
-        bool matched = false;
-        for (std::size_t i = 0; i < s.configs.size(); ++i) {
-            if (rec.key != configCanonicalKey(s.configs[i]))
-                continue;
-            matched = true;
-            EXPECT_EQ(rec.fingerprint,
-                      configFingerprint(s.configs[i]));
-            EXPECT_EQ(resultsJson(rec.results),
-                      resultsJson(points[i].results))
-                << "journaled doubles must round-trip bit-exactly";
-        }
-        EXPECT_TRUE(matched) << "unknown journal key " << rec.key;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SweepEngine, JournalLoaderSkipsTornFinalLine)
-{
-    const auto &s = space();
-    const std::string path =
-        ::testing::TempDir() + "genie_sweep_torn.jsonl";
-    std::remove(path.c_str());
-
-    SweepOptions options;
-    options.journalPath = path;
-    SweepEngine engine(std::move(options));
-    engine.run(s.configs, s.trace, s.dddg);
-
-    // Simulate a kill mid-write: append half a record.
-    {
-        std::ofstream torn(path, std::ios::app);
-        torn << "{\"key\": \"mem=dma lanes=2\", \"fingerprint\":";
-    }
-    auto records = loadJournal(path);
-    EXPECT_EQ(records.size(), s.configs.size())
-        << "a torn trailing line is skipped, not fatal";
-
-    JournalRecord rec;
-    EXPECT_FALSE(parseJournalLine(journalHeaderLine(), rec));
-    EXPECT_FALSE(parseJournalLine("", rec));
-    EXPECT_FALSE(parseJournalLine("{\"key\": \"x\", \"fing", rec));
-    std::remove(path.c_str());
-}
-
-TEST(SweepEngine, InterruptedSweepResumesFromJournal)
-{
-    const auto &s = space();
-    const std::string path =
-        ::testing::TempDir() + "genie_sweep_resume.jsonl";
-    std::remove(path.c_str());
 
     // Uninterrupted reference run.
     SweepEngine reference;
     auto expected = reference.run(s.configs, s.trace, s.dddg);
 
-    // Interrupted run: stop cleanly after two fresh points.
-    {
+    for (unsigned threads : {1u, 4u}) {
+        const std::string dir = ::testing::TempDir() +
+                                "genie_sweep_resume_" +
+                                std::to_string(threads);
+        std::filesystem::remove_all(dir);
+
+        // Interrupted run: stop cleanly after two fresh points.
+        {
+            ResultStore store;
+            store.open(dir);
+            SweepOptions options;
+            options.threads = threads;
+            options.store = &store;
+            options.maxFreshPoints = 2;
+            SweepEngine engine(std::move(options));
+            engine.run(s.configs, s.trace, s.dddg);
+            EXPECT_TRUE(engine.interrupted());
+            EXPECT_EQ(engine.progress().done, 2u);
+            EXPECT_EQ(store.stats().records, 2u);
+        }
+
+        // Resume: a fresh process reopens the same store, which
+        // serves the two finished points.
+        ResultStore store;
+        store.open(dir);
         SweepOptions options;
-        options.journalPath = path;
-        options.maxFreshPoints = 2;
+        options.threads = threads;
+        options.store = &store;
         SweepEngine engine(std::move(options));
-        engine.run(s.configs, s.trace, s.dddg);
-        EXPECT_TRUE(engine.interrupted());
-        EXPECT_EQ(engine.progress().done, 2u);
+        auto resumed = engine.run(s.configs, s.trace, s.dddg);
+
+        EXPECT_FALSE(engine.interrupted());
+        EXPECT_EQ(engine.progress().cached, 2u);
+        EXPECT_EQ(engine.storeHits(), 2u);
+        EXPECT_EQ(engine.progress().done, s.configs.size() - 2);
+        EXPECT_EQ(sweepJson(resumed), sweepJson(expected))
+            << "resumed results must be byte-identical to an "
+               "uninterrupted sweep at " << threads << " thread(s)";
+        EXPECT_EQ(store.stats().records, s.configs.size())
+            << "the resumed run stores the missing points";
+        std::filesystem::remove_all(dir);
     }
-    ASSERT_EQ(loadJournal(path).size(), 2u);
-
-    // Resume: same journal file preloads the two finished points.
-    SweepOptions options;
-    options.journalPath = path;
-    options.resumePath = path;
-    SweepEngine engine(std::move(options));
-    auto resumed = engine.run(s.configs, s.trace, s.dddg);
-
-    EXPECT_FALSE(engine.interrupted());
-    EXPECT_EQ(engine.progress().cached, 2u);
-    EXPECT_EQ(engine.progress().done, s.configs.size() - 2);
-    EXPECT_EQ(sweepJson(resumed), sweepJson(expected))
-        << "resumed results must be byte-identical to an "
-           "uninterrupted sweep";
-    EXPECT_EQ(loadJournal(path).size(), s.configs.size())
-        << "the resumed run appends the missing points";
-    std::remove(path.c_str());
 }
 
 TEST(SweepEngine, ProgressCallbackCoversEveryPoint)
@@ -650,48 +601,6 @@ TEST(ResultCache, DefaultIsUnbounded)
         cache.insert(std::to_string(i), r);
     EXPECT_EQ(cache.size(), 1000u);
     EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(Journal, CheckedLoaderCountsInteriorCorruptLines)
-{
-    const std::string path =
-        ::testing::TempDir() + "genie_corrupt_journal.jsonl";
-    std::remove(path.c_str());
-    {
-        SocResults r;
-        std::ofstream out(path);
-        out << journalHeaderLine();
-        out << journalRecordLine("key-a", 0x1, r);
-        out << "garbage that is not a record\n"; // interior damage
-        out << journalRecordLine("key-b", 0x2, r);
-    }
-    JournalLoadResult loaded = loadJournalChecked(path);
-    EXPECT_EQ(loaded.records.size(), 2u)
-        << "records around the damage must still load";
-    EXPECT_EQ(loaded.corruptLines, 1u)
-        << "interior corruption must be counted, never silent";
-    EXPECT_FALSE(loaded.tornFinalLine);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, TornFinalLineIsSilentlySkippedNotCorrupt)
-{
-    const std::string path =
-        ::testing::TempDir() + "genie_torn_journal.jsonl";
-    std::remove(path.c_str());
-    {
-        SocResults r;
-        std::ofstream out(path);
-        out << journalHeaderLine();
-        out << journalRecordLine("key-a", 0x1, r);
-        out << "{\"key\": \"key-b\", \"finge"; // kill-mid-write
-    }
-    JournalLoadResult loaded = loadJournalChecked(path);
-    EXPECT_EQ(loaded.records.size(), 1u);
-    EXPECT_EQ(loaded.corruptLines, 0u)
-        << "a torn final line is the expected interruption shape";
-    EXPECT_TRUE(loaded.tornFinalLine);
-    std::remove(path.c_str());
 }
 
 TEST(SpaceFilter, ParsesAxesAndRejectsGarbage)

@@ -19,9 +19,13 @@
  * rejections, private scratchpad arrays in cache mode, the ACP port, a
  * per-array interface override, and a seeded fault campaign.
  *
- * Regenerate only for an intentional model change:
+ * Capture newly added cases with
  *
  *   GENIE_ISSUE_GOLDEN_WRITE=1 ./build/tests/test_issue_golden
+ *
+ * which appends the lines of every case missing from the file and
+ * leaves existing lines byte-identical. To recapture a case after an
+ * intentional model change, delete its lines first.
  */
 
 #include <gtest/gtest.h>
@@ -232,12 +236,18 @@ loadGolden()
     return g;
 }
 
+/** Append the cases missing from the golden file. */
 void
 writeGolden()
 {
-    std::ofstream out(goldenPath);
-    out << "# Datapath issue goldens (tests/test_issue_golden.cc).\n";
+    const bool exists = std::ifstream(goldenPath).good();
+    const Golden old = exists ? loadGolden() : Golden{};
+    std::ofstream out(goldenPath, std::ios::app);
+    if (!exists)
+        out << "# Datapath issue goldens (tests/test_issue_golden.cc).\n";
     for (const IssueCase &c : issueCases) {
+        if (old.cases.count(c.name))
+            continue;
         Observed o = observe(c);
         out << "results " << c.name << ' ' << o.results << '\n';
         out << "trace " << c.name << ' ' << o.traceHash << '\n';

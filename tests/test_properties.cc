@@ -290,11 +290,12 @@ TEST(DesignSpaceProperties, IsolatedAsCacheLandsInSweepableRange)
 
 TEST(ConfigIdentity, FingerprintInjectiveOverEnumeratedSpaces)
 {
-    // The ResultCache keys on the canonical string, so a fingerprint
-    // collision could never corrupt results — but the journal stores
-    // the fingerprint as the compact identity, so prove it injective
-    // over everything the sweeps enumerate: distinct keys must never
-    // share a fingerprint, and equal keys must (trivially) agree.
+    // The ResultCache and ResultStore key on the canonical string, so
+    // a fingerprint collision could never corrupt results — but the
+    // store names its record files by fingerprint, so prove it
+    // injective over everything the sweeps enumerate: distinct keys
+    // must never share a fingerprint, and equal keys must (trivially)
+    // agree.
     std::map<std::uint64_t, std::string> byFingerprint;
     std::size_t distinct = 0;
     for (const SocConfig &c : allEnumeratedConfigs()) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -28,6 +29,7 @@
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include "core/fingerprint.hh"
 #include "dse/journal.hh"
@@ -145,7 +147,7 @@ TEST(ResultStore, RoundTripsResultsBitExactly)
     ResultStore store;
     store.open(dir);
     SocResults in = sampleResults(41.0);
-    store.insert("lanes=4", 0x1234abcdu, in);
+    store.insert("lanes=4", in);
 
     SocResults out;
     ASSERT_TRUE(store.lookup("lanes=4", out));
@@ -166,8 +168,7 @@ TEST(ResultStore, SurvivesReopen)
         ResultStore store;
         store.open(dir);
         for (int i = 0; i < 3; ++i) {
-            store.insert(format("key-%d", i), 0x1000u + i,
-                         sampleResults(i + 1));
+            store.insert(format("key-%d", i), sampleResults(i + 1));
         }
     }
     ResultStore reopened;
@@ -185,7 +186,7 @@ TEST(ResultStore, QuarantinesCorruptRecordOnLookup)
     const std::string dir = scratchDir();
     ResultStore store;
     store.open(dir);
-    store.insert("poisoned", 0xdeadu, sampleResults(7.0));
+    store.insert("poisoned", sampleResults(7.0));
 
     // Flip one payload byte behind the store's back: the CRC check
     // must catch it, quarantine the file, and report a miss — never
@@ -213,7 +214,7 @@ TEST(ResultStore, ReopenQuarantinesPartialRecordAndSweepsTmp)
     {
         ResultStore store;
         store.open(dir);
-        store.insert("whole", 0x77u, sampleResults(3.0));
+        store.insert("whole", sampleResults(3.0));
     }
     // A daemon killed mid-insert leaves either a .tmp (never
     // renamed) or, with external interference, a truncated record.
@@ -239,8 +240,8 @@ TEST(ResultStore, EvictsLeastRecentlyUsedUnderBudget)
     const std::string dir = scratchDir();
     ResultStore store;
     store.open(dir, 1); // absurdly tight: at most one record survives
-    store.insert("first", 0x1u, sampleResults(1.0));
-    store.insert("second", 0x2u, sampleResults(2.0));
+    store.insert("first", sampleResults(1.0));
+    store.insert("second", sampleResults(2.0));
     EXPECT_GE(store.stats().evictions, 1u);
     SocResults out;
     EXPECT_FALSE(store.lookup("first", out))
@@ -255,12 +256,120 @@ TEST(ResultStore, InsertIsFirstWriterWins)
     ResultStore store;
     store.open(dir);
     SocResults a = sampleResults(1.0);
-    store.insert("k", 0x9u, a);
-    store.insert("k", 0x9u, sampleResults(2.0));
+    store.insert("k", a);
+    store.insert("k", sampleResults(2.0));
     EXPECT_EQ(store.stats().inserts, 1u);
     SocResults out;
     ASSERT_TRUE(store.lookup("k", out));
     EXPECT_EQ(resultsJson(out), resultsJson(a));
+}
+
+/** Sorted names of the `.rec` files in @p dir. */
+std::vector<std::string>
+recordFiles(const std::string &dir)
+{
+    std::vector<std::string> out;
+    for (const auto &e : fs::directory_iterator(dir)) {
+        if (e.path().extension() == ".rec")
+            out.push_back(e.path().filename().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(ResultStore, NamesRecordsByKeyFingerprint)
+{
+    // The file name and payload are an on-disk format shared with
+    // older stores: FNV-1a of the canonical key names the file, and
+    // the payload carries that fingerprint, the key and resultsJson.
+    const std::string dir = scratchDir();
+    SocConfig config;
+    const std::string key = configCanonicalKey(config);
+    const std::string fp = fingerprintHex(configFingerprint(config));
+    SocResults in = sampleResults(5.0);
+    ResultStore store;
+    store.open(dir);
+    store.insert(key, in);
+
+    ASSERT_EQ(recordFiles(dir), std::vector<std::string>{fp + ".rec"});
+    const std::string payload = "{\"fp\": \"" + fp + "\", \"key\": \"" +
+                                key + "\", \"results\": " +
+                                resultsJson(in) + "}";
+    EXPECT_EQ(readTextFile(dir + "/" + fp + ".rec"),
+              format("{\"schema\": \"genie-store-1\", \"crc32\": "
+                     "\"%08x\"}\n",
+                     crc32Ieee(payload.data(), payload.size())) +
+                  payload + "\n");
+}
+
+TEST(ResultStore, NameCollisionTakesASiblingAndKeepsBothRecords)
+{
+    // Stand in for a fingerprint collision: a valid record of key
+    // "other" sits under the file name that "victim" hashes to.
+    const std::string dir = scratchDir();
+    const std::string victimFile =
+        fingerprintHex(keyFingerprint("victim")) + ".rec";
+    {
+        ResultStore store;
+        store.open(dir);
+        store.insert("other", sampleResults(1.0));
+    }
+    fs::rename(dir + "/" + recordFiles(dir).front(),
+               dir + "/" + victimFile);
+
+    SocResults victim = sampleResults(2.0), out;
+    {
+        ResultStore store;
+        store.open(dir);
+        store.insert("victim", victim);
+        EXPECT_EQ(recordFiles(dir).size(), 2u)
+            << "a colliding name must not overwrite another key's "
+               "record";
+        ASSERT_TRUE(store.lookup("victim", out));
+        EXPECT_EQ(resultsJson(out), resultsJson(victim));
+        ASSERT_TRUE(store.lookup("other", out));
+        EXPECT_EQ(resultsJson(out), resultsJson(sampleResults(1.0)));
+    }
+    ResultStore reopened;
+    reopened.open(dir);
+    EXPECT_EQ(reopened.stats().reloaded, 2u);
+    EXPECT_EQ(reopened.stats().corrupt, 0u);
+    ASSERT_TRUE(reopened.lookup("victim", out));
+    EXPECT_EQ(resultsJson(out), resultsJson(victim));
+}
+
+TEST(ResultStore, ReplacedByAnotherKeysRecordIsAMissNotQuarantine)
+{
+    // Another process wrote a colliding key's record over ours: that
+    // record is valid for its own key, so it is neither served for
+    // ours nor quarantined, and our re-insert takes a sibling name.
+    const std::string dir = scratchDir();
+    ResultStore store;
+    store.open(dir);
+    store.insert("victim", sampleResults(1.0));
+    store.insert("other", sampleResults(2.0));
+    const std::string victimFile =
+        fingerprintHex(keyFingerprint("victim")) + ".rec";
+    const std::string otherFile =
+        fingerprintHex(keyFingerprint("other")) + ".rec";
+    writeTextFile(dir + "/" + victimFile,
+                  readTextFile(dir + "/" + otherFile));
+
+    SocResults out;
+    EXPECT_FALSE(store.lookup("victim", out));
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    EXPECT_TRUE(fs::exists(dir + "/" + victimFile))
+        << "another key's valid record must never be quarantined";
+
+    SocResults victim = sampleResults(3.0);
+    store.insert("victim", victim);
+    EXPECT_TRUE(fs::exists(dir + "/" +
+                           fingerprintHex(keyFingerprint("victim")) +
+                           "-1.rec"));
+    ASSERT_TRUE(store.lookup("victim", out));
+    EXPECT_EQ(resultsJson(out), resultsJson(victim));
+    ASSERT_TRUE(store.lookup("other", out));
+    EXPECT_EQ(resultsJson(out), resultsJson(sampleResults(2.0)));
 }
 
 // ---------------------------------------------------------------

@@ -27,7 +27,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "dse/journal.hh"
+#include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
 #include "workloads/workload.hh"
@@ -198,32 +199,40 @@ TEST(SweepGolden, ByteStableColdVersusWarmCache)
 TEST(SweepGolden, ByteStableAcrossInterruptionAndResume)
 {
     auto configs = fig6Space();
-    const std::string journal =
-        ::testing::TempDir() + "genie_golden_resume.jsonl";
-    std::remove(journal.c_str());
+    for (unsigned threads : {1u, 4u}) {
+        const std::string dir = ::testing::TempDir() +
+                                "genie_golden_resume_" +
+                                std::to_string(threads);
+        std::filesystem::remove_all(dir);
 
-    {
-        SweepOptions interrupted;
-        interrupted.journalPath = journal;
-        interrupted.maxFreshPoints = configs.size() / 2;
-        SweepEngine engine(std::move(interrupted));
-        engine.run(configs, rig().built.trace, rig().dddg);
-        ASSERT_TRUE(engine.interrupted());
+        {
+            ResultStore store;
+            store.open(dir);
+            SweepOptions interrupted;
+            interrupted.threads = threads;
+            interrupted.store = &store;
+            interrupted.maxFreshPoints = configs.size() / 2;
+            SweepEngine engine(std::move(interrupted));
+            engine.run(configs, rig().built.trace, rig().dddg);
+            ASSERT_TRUE(engine.interrupted());
+        }
+
+        ResultStore store;
+        store.open(dir);
+        SweepOptions resume;
+        resume.threads = threads;
+        resume.store = &store;
+        SweepEngine engine(std::move(resume));
+        auto points = engine.run(configs, rig().built.trace, rig().dddg);
+        EXPECT_FALSE(engine.interrupted());
+        EXPECT_EQ(engine.storeHits(), configs.size() / 2);
+        EXPECT_EQ(render(points),
+                  readFile(std::string(GENIE_GOLDEN_DIR) +
+                           "/sweep_fig6_stencil2d.json"))
+            << "an interrupted-then-resumed sweep must reproduce the "
+               "uninterrupted bytes at " << threads << " thread(s)";
+        std::filesystem::remove_all(dir);
     }
-
-    SweepOptions resume;
-    resume.journalPath = journal;
-    resume.resumePath = journal;
-    SweepEngine engine(std::move(resume));
-    auto points = engine.run(configs, rig().built.trace, rig().dddg);
-    EXPECT_FALSE(engine.interrupted());
-    EXPECT_GT(engine.progress().cached, 0u);
-    EXPECT_EQ(render(points),
-              readFile(std::string(GENIE_GOLDEN_DIR) +
-                       "/sweep_fig6_stencil2d.json"))
-        << "an interrupted-then-resumed sweep must reproduce the "
-           "uninterrupted bytes";
-    std::remove(journal.c_str());
 }
 
 } // namespace

@@ -323,7 +323,7 @@ TEST(LintTraceSink, MetricsSubsystemOwnsItsSinks)
 
 TEST(LintSweepDeterminism, FlagsThreadIdentityInsideDse)
 {
-    // Sweep results and journal records must be byte-identical
+    // Sweep results and store records must be byte-identical
     // across thread counts, so nothing in src/dse may observe which
     // thread or process ran a point.
     EXPECT_TRUE(hasRule(
@@ -343,7 +343,7 @@ TEST(LintSweepDeterminism, FlagsThreadIdentityInsideDse)
                     "record.worker = gettid();\n"),
         "sweep-determinism"));
     EXPECT_TRUE(hasRule(
-        lintSnippet("src/dse/journal.cc",
+        lintSnippet("src/dse/result_store.cc",
                     "header.pid = getpid();\n"),
         "sweep-determinism"));
 }

@@ -173,7 +173,7 @@ const TokenRule faultRngTokens[] = {
      "distributions"},
 };
 
-// sweep-determinism: sweep results and the checkpoint journal must be
+// sweep-determinism: sweep results and ResultStore records must be
 // byte-identical across thread counts and runs, so nothing in src/dse
 // may observe which thread or process computed a point. Wall-clock
 // reads are already banned tree-wide by the determinism rule; this
@@ -181,20 +181,20 @@ const TokenRule faultRngTokens[] = {
 // report is read only through the sanctioned profilerNowNs().)
 const TokenRule sweepDeterminismTokens[] = {
     {"std::this_thread::get_id",
-     "thread identity must not influence sweep results or the "
-     "journal; results depend only on the config"},
+     "thread identity must not influence sweep results or "
+     "stored records; results depend only on the config"},
     {"std::thread::id",
-     "thread identity must not influence sweep results or the "
-     "journal; results depend only on the config"},
+     "thread identity must not influence sweep results or "
+     "stored records; results depend only on the config"},
     {"pthread_self(",
-     "thread identity must not influence sweep results or the "
-     "journal"},
+     "thread identity must not influence sweep results or "
+     "stored records"},
     {"gettid(",
-     "thread identity must not influence sweep results or the "
-     "journal"},
+     "thread identity must not influence sweep results or "
+     "stored records"},
     {"getpid(",
-     "process identity must not influence sweep results or the "
-     "journal"},
+     "process identity must not influence sweep results or "
+     "stored records"},
 };
 
 // event-alloc: after Genie-Turbo the event kernel allocates event
@@ -446,7 +446,7 @@ lintSource(const std::string &relPath, const std::string &contents)
         }
 
         // sweep-determinism: the DSE layer may not observe thread or
-        // process identity — DesignPoint results and journal records
+        // process identity — DesignPoint results and store records
         // must depend only on the config.
         if (startsWith(relPath, "src/dse/")) {
             for (const auto &t : sweepDeterminismTokens) {

@@ -4,14 +4,12 @@
  *
  * Runs one of the paper's Figure 3 design spaces for a workload under
  * the SweepEngine — work-stealing scheduling, result-cache dedupe,
- * and a checkpoint journal so an interrupted sweep resumes where it
+ * and a durable ResultStore so an interrupted sweep resumes where it
  * stopped:
  *
  *   genie_sweep stencil-stencil2d --space=fig6 --out=results.json
  *   genie_sweep md-knn --space=fig8 --filter="lanes=1,4" \
- *               --journal=sweep.jsonl
- *   genie_sweep md-knn --space=fig8 --filter="lanes=1,4" \
- *               --resume=sweep.jsonl --out=results.json
+ *               --store=sweep-store --out=results.json
  *
  * Spaces: single (just the base config), isolated (compute-only lanes
  * x partitions), dma (Fig. 8 DMA space, all optimizations), fig6 (DMA
@@ -22,26 +20,23 @@
  * the base config the space is enumerated around; --filter carves an
  * axis-value subset.
  *
- * --resume=FILE preloads FILE into the result cache and, unless
- * --journal names a different file, keeps appending to it, so the
- * same command line is simply re-run after an interruption. Interior
- * corrupt journal lines are skipped loudly and reported as a
- * corrupt_lines count. --max-points=N stops cleanly after N fresh
- * simulations (exit code 4) — the deterministic way to exercise
- * interruption in CI. SIGINT/SIGTERM request a graceful drain:
- * in-flight points finish and checkpoint, then the tool exits 5 with
- * resume instructions — ctrl-C never tears a journal.
- *
  * --store=DIR adds the durable content-addressed ResultStore as a
  * second memoization tier behind the in-memory cache (shared with
  * genie_serve daemons pointed at the same directory);
- * --store-budget=BYTES bounds it with LRU eviction.
+ * --store-budget=BYTES bounds it with LRU eviction. Every fresh point
+ * is written through as it finishes, so the same command line is
+ * simply re-run after an interruption. Corrupt records are
+ * quarantined, re-simulated and counted in the summary.
+ * --max-points=N stops cleanly after N fresh simulations (exit code
+ * 4) — the deterministic way to exercise interruption in CI.
+ * SIGINT/SIGTERM request a graceful drain: in-flight points finish
+ * and are stored, then the tool exits 5 with resume instructions.
  *
  * Results (--out, "-" = stdout) are the deterministic
  * genie-sweep-results-1 JSON in enumeration order: byte-identical
  * across thread counts and cold/warm/resumed runs. --stats-json
  * exports the engine's StatRegistry block (points done/cached/failed,
- * events, MEPS, store hits, corrupt journal lines).
+ * events, MEPS, store hits).
  */
 
 #include <atomic>
@@ -88,8 +83,8 @@ usage()
         "         [--space=single|isolated|dma|fig6|cache|fig8|acp|"
         "iface]\n"
         "         [--filter=\"lanes=1,4;partitions=1,4;...\"]\n"
-        "         [--threads=N] [--journal=FILE] [--resume=FILE]\n"
-        "         [--store=DIR] [--store-budget=BYTES]\n"
+        "         [--threads=N] [--store=DIR] "
+        "[--store-budget=BYTES]\n"
         "         [--out=FILE] [--stats-json=FILE] "
         "[--max-points=N]\n"
         "         [--progress] [--pareto]\n"
@@ -130,10 +125,6 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
             options.threads = static_cast<unsigned>(
                 std::strtoul(arg + 10, nullptr, 10));
-        } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-            options.journalPath = arg + 10;
-        } else if (std::strncmp(arg, "--resume=", 9) == 0) {
-            options.resumePath = arg + 9;
         } else if (std::strncmp(arg, "--store=", 8) == 0) {
             storeDir = arg + 8;
         } else if (std::strncmp(arg, "--store-budget=", 15) == 0) {
@@ -160,14 +151,8 @@ main(int argc, char **argv)
     if (workload.empty())
         return usage();
 
-    // Resuming without an explicit journal keeps extending the same
-    // file, so the identical command line continues an interrupted
-    // sweep.
-    if (options.journalPath.empty() && !options.resumePath.empty())
-        options.journalPath = options.resumePath;
-
     // Graceful drain: a signal stops the deal of new points;
-    // in-flight points finish and checkpoint normally.
+    // in-flight points finish and are stored normally.
     std::signal(SIGINT, onDrainSignal);
     std::signal(SIGTERM, onDrainSignal);
     options.stopRequested = &gDrainRequested;
@@ -206,7 +191,6 @@ main(int argc, char **argv)
             options.progressIntervalNs = 33'000'000;
         }
 
-        const std::string journalPath = options.journalPath;
         SweepEngine engine(std::move(options));
         auto t0 = std::chrono::steady_clock::now();
         auto points = engine.run(configs, built.trace, dddg);
@@ -226,14 +210,15 @@ main(int argc, char **argv)
                     wallMs,
                     (unsigned long long)engine.simulatedEvents(),
                     engine.meps());
-        if (engine.journalCorruptLines() > 0) {
+        if (store.stats().corrupt > 0) {
             // Never let disk corruption pass silently: the affected
             // points were re-simulated, but the operator should know
-            // the journal took damage.
-            std::printf("  resume journal: corrupt_lines=%zu "
-                        "(interior corruption; affected points "
-                        "re-simulated)\n",
-                        engine.journalCorruptLines());
+            // the store took damage.
+            std::printf("  store: quarantined=%llu corrupt record(s) "
+                        "into %s/%s; those points were re-simulated\n",
+                        (unsigned long long)store.stats().corrupt,
+                        storeDir.c_str(),
+                        ResultStore::quarantineSubdir());
         }
         if (engine.storeHits() > 0) {
             std::printf("  store: %llu hit(s) from %s\n",
@@ -251,11 +236,16 @@ main(int argc, char **argv)
             const char *how = gDrainRequested.load()
                                   ? "drained by signal"
                                   : "interrupted";
-            std::printf("%s after %zu fresh points; resume with "
-                        "--resume=%s\n",
-                        how, final.done,
-                        journalPath.empty() ? "JOURNAL"
-                                            : journalPath.c_str());
+            if (storeDir.empty()) {
+                std::printf("%s after %zu fresh points; nothing was "
+                            "kept — rerun with --store=DIR to make "
+                            "the sweep resumable\n",
+                            how, final.done);
+            } else {
+                std::printf("%s after %zu fresh points; resume by "
+                            "rerunning with --store=%s\n",
+                            how, final.done, storeDir.c_str());
+            }
             return gDrainRequested.load() ? 5 : 4;
         }
 
